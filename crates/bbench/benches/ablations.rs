@@ -418,19 +418,21 @@ fn ablation_parallel_sweep(c: &mut Criterion) {
 }
 
 /// Dispatch-policy ablation on the runtime server: every policy replays
-/// the same seeded open-loop schedule (small scale) on a fresh SoC. The
+/// the same seeded open-loop schedule (small scale) on a fresh 1-shard
+/// fleet. The
 /// data are simulated — tail latency, goodput, and rejections per policy
 /// — so the criterion timings only measure simulation cost; the policy
 /// comparison itself is the printed datum (and the `loadgen` binary's
 /// stdout artifact).
 fn ablation_server_policies(c: &mut Criterion) {
-    use bbench::loadgen::{plan, run_policy, LoadScale};
-    use bserver::DispatchPolicy;
+    use bbench::loadgen::{plan, run_policy, LoadScale, PolicyRun};
+    use bserver::{BatchPolicy, DispatchPolicy};
 
     let scale = LoadScale::small();
     let schedule = plan(42, &scale);
+    let run = |policy| run_policy(policy, &schedule, &scale, 1, BatchPolicy::Fixed(1), None);
     for policy in DispatchPolicy::all() {
-        let row = run_policy(policy, &schedule, &scale);
+        let PolicyRun { row, .. } = run(policy);
         println!(
             "ablation datum: {:<16} p50 {:>6} p99 {:>6} cyc, {}/{} completed, {} rejected, \
              makespan {} cyc",
@@ -447,22 +449,10 @@ fn ablation_server_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_server_policies");
     group.sample_size(10);
     group.bench_function("lock_arbitrated_small", |b| {
-        b.iter(|| {
-            black_box(run_policy(
-                DispatchPolicy::LockArbitrated,
-                &schedule,
-                &scale,
-            ))
-        })
+        b.iter(|| black_box(run(DispatchPolicy::LockArbitrated)))
     });
     group.bench_function("sjf_small", |b| {
-        b.iter(|| {
-            black_box(run_policy(
-                DispatchPolicy::ShortestJobFirst,
-                &schedule,
-                &scale,
-            ))
-        })
+        b.iter(|| black_box(run(DispatchPolicy::ShortestJobFirst)))
     });
     group.finish();
 }
@@ -477,8 +467,8 @@ fn ablation_server_policies(c: &mut Criterion) {
 /// four SoCs and completes more jobs, so it is *not* expected to be
 /// faster wall-clock at this scale).
 fn ablation_fleet(c: &mut Criterion) {
-    use bbench::loadgen::{plan, run_policy_fleet, LoadScale};
-    use bserver::DispatchPolicy;
+    use bbench::loadgen::{plan, run_policy, LoadScale};
+    use bserver::{BatchPolicy, DispatchPolicy};
 
     // Saturating load: 8 tenants offer far more than one core drains, so
     // a single shard rejects most of it and extra shards convert
@@ -491,8 +481,19 @@ fn ablation_fleet(c: &mut Criterion) {
         queue_capacity: 2,
     };
     let schedule = plan(42, &scale);
+    let run = |shards| {
+        run_policy(
+            DispatchPolicy::Fifo,
+            &schedule,
+            &scale,
+            shards,
+            BatchPolicy::Fixed(1),
+            None,
+        )
+    };
     let throughput = |shards: usize| {
-        let (row, shard_rows) = run_policy_fleet(DispatchPolicy::Fifo, &schedule, &scale, shards);
+        let fleet_run = run(shards);
+        let (row, shard_rows) = (fleet_run.row, fleet_run.shard_rows);
         let per_mcyc = row.completed as f64 * 1_000_000.0 / row.makespan_cycles as f64;
         println!(
             "ablation datum: fleet {} shard(s): {}/{} completed, {} rejected, \
@@ -526,12 +527,8 @@ fn ablation_fleet(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("ablation_fleet");
     group.sample_size(10);
-    group.bench_function("fleet_1_shard", |b| {
-        b.iter(|| black_box(run_policy_fleet(DispatchPolicy::Fifo, &schedule, &scale, 1)))
-    });
-    group.bench_function("fleet_4_shards", |b| {
-        b.iter(|| black_box(run_policy_fleet(DispatchPolicy::Fifo, &schedule, &scale, 4)))
-    });
+    group.bench_function("fleet_1_shard", |b| b.iter(|| black_box(run(1))));
+    group.bench_function("fleet_4_shards", |b| b.iter(|| black_box(run(4))));
     group.finish();
 }
 
@@ -539,14 +536,14 @@ fn ablation_fleet(c: &mut Criterion) {
 /// served by a 4-shard fleet under admission micro-batching widths
 /// 1, 4, 16, and the adaptive controller. The printed data are simulated
 /// and deterministic — goodput (completed jobs per megacycle of fleet
-/// makespan) and p99 latency per batch setting. Batch 1 takes the
-/// batched code path but performs the unbatched per-command host costs,
-/// so it is the honest baseline; wider fixed batches amortize the lock
+/// makespan) and p99 latency per batch setting. Batch 1 (the default)
+/// pays the per-command host costs, so it is the honest baseline; wider
+/// fixed batches amortize the lock
 /// and MMIO wakes across commands, and `auto` must land at least at the
 /// batch-1 goodput (asserted — the adaptive controller is allowed to
 /// decline to batch, never to regress).
 fn ablation_batching(c: &mut Criterion) {
-    use bbench::loadgen::{plan, run_policy_fleet_telemetry_batched, LoadScale};
+    use bbench::loadgen::{plan, run_policy, LoadScale};
     use bserver::{BatchPolicy, DispatchPolicy};
 
     // The fleet ablation's saturating shape, with room in each shard's
@@ -561,15 +558,9 @@ fn ablation_batching(c: &mut Criterion) {
     };
     let shards = 4;
     let schedule = plan(42, &scale);
+    let serve = |batch| run_policy(DispatchPolicy::Fifo, &schedule, &scale, shards, batch, None);
     let run = |batch: BatchPolicy| -> (u64, u64, u64) {
-        let (row, _, _) = run_policy_fleet_telemetry_batched(
-            DispatchPolicy::Fifo,
-            &schedule,
-            &scale,
-            shards,
-            None,
-            batch,
-        );
+        let row = serve(batch).row;
         println!(
             "ablation datum: batch {:<9}: {}/{} completed, {} rejected, makespan {} cyc, \
              {:.1} jobs/Mcyc (p99 {} cyc)",
@@ -598,28 +589,10 @@ fn ablation_batching(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_batching");
     group.sample_size(10);
     group.bench_function("fleet_batch_1", |b| {
-        b.iter(|| {
-            black_box(run_policy_fleet_telemetry_batched(
-                DispatchPolicy::Fifo,
-                &schedule,
-                &scale,
-                shards,
-                None,
-                BatchPolicy::Fixed(1),
-            ))
-        })
+        b.iter(|| black_box(serve(BatchPolicy::Fixed(1))))
     });
     group.bench_function("fleet_batch_auto", |b| {
-        b.iter(|| {
-            black_box(run_policy_fleet_telemetry_batched(
-                DispatchPolicy::Fifo,
-                &schedule,
-                &scale,
-                shards,
-                None,
-                BatchPolicy::Auto,
-            ))
-        })
+        b.iter(|| black_box(serve(BatchPolicy::Auto)))
     });
     group.finish();
 }

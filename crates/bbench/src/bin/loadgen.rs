@@ -6,21 +6,24 @@
 //! cargo run -p bbench --release --bin loadgen -- --seed 42 --tenants 8
 //! ```
 //!
+//! Every policy is served by a [`bserver::FleetServer`]: one shard
+//! unless `--shards` asks for more.
+//!
 //! Flags: `--seed N` (default 42), `--tenants N`, `--small` (scaled-down
 //! run), `--json` (machine-readable summary on stdout instead of the
-//! table), `--shards N` (serve through a [`bserver::FleetServer`] of N
-//! replicas with hashed session admission; per-shard stats appear in the
-//! JSON summary), `--telemetry` (request tracing + windowed metrics; the
-//! JSON summary gains a per-policy `"telemetry"` time-series — the table
-//! stays byte-identical), `--window N` (telemetry window width in
+//! table), `--shards N` (N fleet replicas with hashed session
+//! admission; per-shard stats appear in the JSON summary), `--telemetry`
+//! (request tracing + windowed metrics; the JSON summary gains
+//! per-shard stats and a per-policy `"telemetry"` time-series — the
+//! table stays byte-identical), `--window N` (telemetry window width in
 //! cycles), `--trace DIR` (write one merged Perfetto trace per policy,
 //! implies `--telemetry`), `--flight DIR` (arm the stall watchdog; flight
 //! recorder dumps land here only if a shard wedges, implies
-//! `--telemetry`), `--batch N|auto` (admission micro-batching for the
-//! event-driven policies: dispatch up to N ready commands per lock
-//! visit, or let the adaptive controller pick the width; `--batch 1` is
-//! byte-identical to omitting the flag, and the lock-arbitrated baseline
-//! row ignores it entirely). stdout is byte-identical at any
+//! `--telemetry`), `--batch N|auto` (the event-driven policies' batch
+//! width: dispatch up to N ready commands per lock visit, or let the
+//! adaptive controller pick the width; the default is 1, so `--batch 1`
+//! is the same run as omitting the flag, and the lock-arbitrated
+//! baseline row ignores it entirely). stdout is byte-identical at any
 //! `BBENCH_JOBS`, `BSERVER_SHARDS` (which only caps the fleet's
 //! execution width), and scheduler mode, with or without telemetry;
 //! diagnostics go to stderr.
@@ -35,10 +38,7 @@
 //! `--shards N` pick the oracle's rig; `--auth-seed N` must match the
 //! daemon's). See `bbench::netgen`.
 
-use bbench::loadgen::{
-    render, render_json_batched, render_json_sharded_telemetry_batched, render_sharded_telemetry,
-    run_fleet_on_telemetry_batched, run_on_batched, LoadScale, TelemetryOpts,
-};
+use bbench::loadgen::{render, render_json, run_on, LoadScale, TelemetryOpts};
 use bserver::BatchPolicy;
 
 fn parse_flag(name: &str) -> Option<u64> {
@@ -95,13 +95,14 @@ fn main() {
     if std::env::args().any(|a| a == "--net" || a == "--oracle") {
         net_mode(seed, &scale, json);
     }
-    let batch = parse_arg("--batch").map_or(BatchPolicy::Unbatched, |v| {
+    let batch = parse_arg("--batch").map_or(BatchPolicy::default(), |v| {
         v.parse().unwrap_or_else(|e| {
             eprintln!("loadgen: {e}");
             std::process::exit(2);
         })
     });
-    let shards = parse_flag("--shards").map(|n| (n as usize).max(1));
+    let shards_flag = parse_flag("--shards").map(|n| (n as usize).max(1));
+    let shards = shards_flag.unwrap_or(1);
     let trace_dir = parse_arg("--trace").map(std::path::PathBuf::from);
     let flight_dir = parse_arg("--flight").map(std::path::PathBuf::from);
     let telemetry =
@@ -111,38 +112,17 @@ fn main() {
         trace_dir,
         flight_dir,
     });
-    // Telemetry rides the fleet path; without --shards it runs a 1-shard
-    // fleet, whose table renders the single-server bytes.
-    let fleet = shards.is_some() || opts.is_some();
+    // The JSON summary carries per-shard stats only when shards or
+    // telemetry were asked for.
+    let json_shards = (shards_flag.is_some() || opts.is_some()).then_some(shards);
     eprintln!("running load generator at scale {scale:?}, seed {seed}");
     bbench::with_sim_rate(|| {
-        if fleet {
-            let shards = shards.unwrap_or(1);
-            let (rows, cycles) = run_fleet_on_telemetry_batched(
-                seed,
-                &scale,
-                shards,
-                bbench::worker_count(),
-                opts,
-                batch,
-            );
-            if json {
-                println!(
-                    "{}",
-                    render_json_sharded_telemetry_batched(seed, &scale, shards, batch, &rows)
-                );
-            } else {
-                print!("{}", render_sharded_telemetry(seed, &scale, shards, &rows));
-            }
-            ((), cycles)
+        let (runs, cycles) = run_on(seed, &scale, shards, bbench::worker_count(), batch, opts);
+        if json {
+            println!("{}", render_json(seed, &scale, json_shards, batch, &runs));
         } else {
-            let (rows, cycles) = run_on_batched(seed, &scale, bbench::worker_count(), batch);
-            if json {
-                println!("{}", render_json_batched(seed, &scale, batch, &rows));
-            } else {
-                print!("{}", render(seed, &scale, &rows));
-            }
-            ((), cycles)
+            print!("{}", render(seed, &scale, shards, &runs));
         }
+        ((), cycles)
     });
 }

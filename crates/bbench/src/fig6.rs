@@ -21,7 +21,7 @@ use bkernels::machsuite::baselines::{beethoven_parallelism, model, Method, Paper
 use bkernels::machsuite::{gemm, mdknn, nw, stencil2d, stencil3d, Bench};
 use bplatform::Platform;
 use bruntime::FpgaHandle;
-use bserver::{AccelServer, DispatchPolicy, JobOutcome, JobSpec, ServerConfig};
+use bserver::{DispatchPolicy, FleetConfig, FleetServer, JobOutcome, JobSpec, ServerConfig};
 
 /// Problem sizes and run lengths for a Figure 6 regeneration.
 #[derive(Debug, Clone, Copy)]
@@ -283,30 +283,39 @@ fn run_single_core(bench: Bench, scale: &Fig6Scale) -> SingleCoreRun {
 fn run_multi_core(bench: Bench, scale: &Fig6Scale) -> MultiCoreRun {
     let driver = driver_for(bench, scale);
     let n_cores = planned_cores(&driver, scale);
-    let soc = elaborate_with(
-        (driver.config)(n_cores as u32),
-        &beethoven_platform(),
-        ElaborationOptions::default(),
-    )
-    .expect("multi-core elaborates");
-    let handle = FpgaHandle::new(soc);
-    let total_cmds = n_cores * scale.cmds_per_core;
-    let prepared: Vec<Args> = (0..total_cmds)
-        .map(|i| (driver.setup)(&handle, i))
-        .collect();
-    // The measured leg goes through the runtime server's lock-arbitrated
+    // The measured leg goes through a 1-shard fleet's lock-arbitrated
     // baseline: one client session, commands bound to cores by submission
     // order, responses drained by polling in submission order — the exact
     // serialized sequence the paper's runtime performs (cycle-identity
     // with direct `FpgaHandle` driving is held by `server_equivalence`).
-    let config = ServerConfig {
-        policy: DispatchPolicy::LockArbitrated,
-        ..ServerConfig::default()
+    let config = FleetConfig {
+        shards: 1,
+        server: ServerConfig {
+            policy: DispatchPolicy::LockArbitrated,
+            ..ServerConfig::default()
+        },
     };
-    let mut server =
-        AccelServer::new(&handle, driver.system, 1, config).expect("server opens over the SoC");
+    let mut fleet = FleetServer::new(
+        |_| {
+            elaborate_with(
+                (driver.config)(n_cores as u32),
+                &beethoven_platform(),
+                ElaborationOptions::default(),
+            )
+            .expect("multi-core elaborates")
+        },
+        driver.system,
+        1,
+        config,
+    )
+    .expect("fleet opens over the SoC");
+    let handle = fleet.handle(0).clone();
+    let total_cmds = n_cores * scale.cmds_per_core;
+    let prepared: Vec<Args> = (0..total_cmds)
+        .map(|i| (driver.setup)(&handle, i))
+        .collect();
     let t0 = handle.elapsed_secs();
-    let outcomes = server.run_batch(
+    let outcomes = fleet.run_batch(
         prepared
             .into_iter()
             .map(|args| (0, JobSpec::new(args)))

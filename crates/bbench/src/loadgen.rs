@@ -1,7 +1,7 @@
 //! Open-loop load harness for the multi-tenant runtime server
 //! (`bserver`): seeded arrival schedules, mixed kernel sizes, one fresh
-//! SoC per dispatch policy, and a deterministic report of offered load,
-//! goodput, and latency percentiles.
+//! fleet per dispatch policy, and a deterministic report of offered
+//! load, goodput, and latency percentiles.
 //!
 //! The generator is **open-loop**: arrivals follow the seeded schedule
 //! regardless of how the server is coping, so a policy that falls behind
@@ -11,6 +11,12 @@
 //! shared-memory `kria` platform, so rows differ only by dispatch
 //! behaviour.
 //!
+//! There is one run path: every policy is served by a
+//! [`FleetServer`] — one shard unless `--shards` asks for more — at
+//! the requested batch width, with or without telemetry
+//! ([`run_policy`], [`run_on`]). The results render as the text table
+//! ([`render`]) or the JSON summary ([`render_json`]).
+//!
 //! All randomness is a [`SplitMix64`] stream from the CLI seed, all
 //! reported quantities are integers (cycles and counts, percentiles from
 //! the `server/latency_cycles` histograms in `bsim::perf`), and the
@@ -18,21 +24,20 @@
 //! stdout is byte-identical at any `BBENCH_JOBS` and under any
 //! `bsim::SchedulerMode` (enforced by the `loadgen_determinism` test).
 //!
-//! Fleet runs can additionally carry telemetry ([`TelemetryOpts`]):
-//! request spans merged into one Perfetto trace per policy, a windowed
-//! metrics time-series in the JSON summary, and an optional stall
-//! watchdog with flight-recorder dumps. Telemetry is pure observation —
-//! the rendered table and every measured quantity stay byte-identical
-//! with it on or off (the `telemetry_invariance` tests pin this).
+//! Runs can additionally carry telemetry ([`TelemetryOpts`]): request
+//! spans merged into one Perfetto trace per policy, a windowed metrics
+//! time-series in the JSON summary, and an optional stall watchdog with
+//! flight-recorder dumps. Telemetry is pure observation — the rendered
+//! table and every measured quantity stay byte-identical with it on or
+//! off (the `telemetry_invariance` tests pin this).
 
 use std::path::PathBuf;
 
 use bcore::elaborate;
 use bplatform::Platform;
-use bruntime::FpgaHandle;
 use bserver::{
-    AccelServer, Arrival, BatchPolicy, DispatchPolicy, FleetConfig, FleetMetrics, FleetServer,
-    JobSpec, MetricsSnapshot, ServerConfig, TelemetryConfig, WatchdogConfig,
+    Arrival, BatchPolicy, DispatchPolicy, FleetConfig, FleetMetrics, FleetServer, JobSpec,
+    MetricsSnapshot, ServerConfig, TelemetryConfig, WatchdogConfig,
 };
 
 /// Sebastiano Vigna's SplitMix64: a tiny, splittable, well-distributed
@@ -159,99 +164,6 @@ pub struct PolicyRow {
     pub queue_depth_peak: u64,
 }
 
-/// Runs one policy against the schedule on a fresh SoC. Exposed so the
-/// ablation bench can time policies individually.
-pub fn run_policy(policy: DispatchPolicy, plan: &[PlannedJob], scale: &LoadScale) -> PolicyRow {
-    run_policy_batched(policy, plan, scale, BatchPolicy::Unbatched)
-}
-
-/// [`run_policy`] with an explicit [`BatchPolicy`] (the `--batch` flag).
-/// `Unbatched` is exactly [`run_policy`]; the lock-arbitrated baseline
-/// ignores the setting either way.
-pub fn run_policy_batched(
-    policy: DispatchPolicy,
-    plan: &[PlannedJob],
-    scale: &LoadScale,
-    batch: BatchPolicy,
-) -> PolicyRow {
-    let soc = elaborate(bkernels::vecadd::config(scale.n_cores), &Platform::kria())
-        .expect("vecadd elaborates");
-    let handle = FpgaHandle::new(soc);
-    let config = ServerConfig {
-        policy,
-        queue_capacity: scale.queue_capacity,
-        batch,
-        ..ServerConfig::default()
-    };
-    let mut server = AccelServer::new(&handle, bkernels::vecadd::SYSTEM, scale.tenants, config)
-        .expect("server opens");
-
-    // One buffer per tenant, allocated through that tenant's session (the
-    // multi-session alloc path), sized for the largest job in the mix.
-    // Jobs add in place; concurrent cores touching one tenant's buffer is
-    // timing-deterministic, and values are not checked here.
-    let max_eles = plan.iter().map(|j| j.n_eles).max().unwrap_or(64);
-    let buffers: Vec<bruntime::RemotePtr> = server
-        .sessions()
-        .iter()
-        .map(|s| {
-            let mem = s.malloc(u64::from(max_eles) * 4).expect("tenant buffer");
-            s.write_u32_slice(mem, &vec![1u32; max_eles as usize]);
-            mem
-        })
-        .collect();
-
-    let t0 = handle.now();
-    let arrivals: Vec<Arrival> = plan
-        .iter()
-        .map(|j| Arrival {
-            at_cycle: t0 + j.at_cycle,
-            tenant: j.tenant,
-            spec: JobSpec::new(bkernels::vecadd::args(
-                1,
-                buffers[j.tenant].device_addr(),
-                j.n_eles,
-            ))
-            .with_cost_hint(u64::from(j.n_eles)),
-        })
-        .collect();
-    let outcomes = server.run_open_loop(arrivals);
-
-    let completed = outcomes.iter().filter(|o| o.is_completed()).count();
-    let rejected = outcomes.len() - completed;
-    let hist = handle
-        .with_soc(|soc| soc.perf().histogram("server/latency_cycles"))
-        .expect("server registers its latency histogram");
-    let latency = (
-        hist.p50().unwrap_or(0),
-        hist.p90().unwrap_or(0),
-        hist.p99().unwrap_or(0),
-        hist.max().unwrap_or(0),
-    );
-    let stats = server.stats();
-    let queue_depth_peak = handle
-        .with_soc(|soc| soc.perf().counter("server/queue_depth_peak"))
-        .unwrap_or(0);
-    let row = PolicyRow {
-        policy,
-        offered: outcomes.len(),
-        completed,
-        rejected,
-        latency,
-        makespan_cycles: handle.now() - t0,
-        lock_wait_cycles: stats.get("lock_wait_cycles"),
-        queue_depth_peak,
-    };
-    drop(outcomes);
-
-    // Interleaved teardown across sessions: the shared allocator must
-    // coalesce the holes (regression shape for multi-session `free`).
-    for (i, mem) in buffers.into_iter().enumerate().rev() {
-        server.sessions()[i].free(mem).expect("free tenant buffer");
-    }
-    row
-}
-
 /// One shard's slice of a fleet run: admission-hashed tenant count and
 /// the shard-local serving counters (the per-shard stats the `--shards`
 /// JSON artifact reports).
@@ -271,8 +183,8 @@ pub struct ShardRow {
     pub p99: u64,
 }
 
-/// Telemetry knobs for a loadgen fleet run (the `--telemetry`,
-/// `--trace`, and `--flight` flags).
+/// Telemetry knobs for a loadgen run (the `--telemetry`, `--trace`, and
+/// `--flight` flags).
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryOpts {
     /// Tumbling-window width in fabric cycles; `0` means the
@@ -287,7 +199,7 @@ pub struct TelemetryOpts {
     pub flight_dir: Option<PathBuf>,
 }
 
-/// One policy's telemetry artifacts from a fleet run.
+/// One policy's telemetry artifacts.
 #[derive(Debug, Clone)]
 pub struct PolicyTelemetry {
     /// Windowed time-series: the cross-shard aggregate plus per-shard
@@ -297,45 +209,32 @@ pub struct PolicyTelemetry {
     pub trace_path: Option<PathBuf>,
 }
 
-/// Runs one policy against the schedule on a [`FleetServer`] with
-/// `shards` replicas (1 replica degrades to the exact single-server
-/// path — the `fleet_loadgen` test holds the rendered row byte-identical
-/// to [`run_policy`]'s). Returns the aggregate row plus per-shard stats.
-pub fn run_policy_fleet(
-    policy: DispatchPolicy,
-    plan: &[PlannedJob],
-    scale: &LoadScale,
-    shards: usize,
-) -> (PolicyRow, Vec<ShardRow>) {
-    let (row, shard_rows, _) = run_policy_fleet_telemetry(policy, plan, scale, shards, None);
-    (row, shard_rows)
+/// Everything one policy's run produced: the aggregate row, each
+/// shard's slice, and the telemetry artifacts if they were requested.
+#[derive(Debug, Clone)]
+pub struct PolicyRun {
+    /// The aggregate row (the table line).
+    pub row: PolicyRow,
+    /// Per-shard stats, by shard index.
+    pub shard_rows: Vec<ShardRow>,
+    /// Windowed metrics and trace path; `Some` only with telemetry on.
+    pub telemetry: Option<PolicyTelemetry>,
 }
 
-/// [`run_policy_fleet`] with optional request telemetry. Telemetry is
-/// strictly off-path (never advances the simulated clock), so the
-/// returned rows are byte-identical with `opts` `Some` or `None` — the
-/// `telemetry_invariance` test pins that.
-pub fn run_policy_fleet_telemetry(
+/// Runs one policy against the schedule on a fresh [`FleetServer`] of
+/// `shards` replicas, every shard dispatching `batch` commands per lock
+/// visit (the baseline ignores the width), with optional request
+/// telemetry. Telemetry is strictly off-path (never advances the
+/// simulated clock), so the row and shard stats are byte-identical with
+/// `opts` `Some` or `None` — the `telemetry_invariance` test pins that.
+pub fn run_policy(
     policy: DispatchPolicy,
     plan: &[PlannedJob],
     scale: &LoadScale,
     shards: usize,
-    opts: Option<&TelemetryOpts>,
-) -> (PolicyRow, Vec<ShardRow>, Option<PolicyTelemetry>) {
-    run_policy_fleet_telemetry_batched(policy, plan, scale, shards, opts, BatchPolicy::Unbatched)
-}
-
-/// [`run_policy_fleet_telemetry`] with an explicit [`BatchPolicy`] for
-/// every shard's server (the fleet `--batch` path). `Unbatched` is
-/// exactly the unbatched function.
-pub fn run_policy_fleet_telemetry_batched(
-    policy: DispatchPolicy,
-    plan: &[PlannedJob],
-    scale: &LoadScale,
-    shards: usize,
-    opts: Option<&TelemetryOpts>,
     batch: BatchPolicy,
-) -> (PolicyRow, Vec<ShardRow>, Option<PolicyTelemetry>) {
+    opts: Option<&TelemetryOpts>,
+) -> PolicyRun {
     let n_cores = scale.n_cores;
     let config = FleetConfig {
         shards,
@@ -377,9 +276,11 @@ pub fn run_policy_fleet_telemetry_batched(
         });
     }
 
-    // Same buffer discipline as the single-server path: one buffer per
-    // tenant through that tenant's session, on whichever shard admission
-    // hashed the session to.
+    // One buffer per tenant, allocated through that tenant's session (the
+    // multi-session alloc path) on whichever shard admission hashed the
+    // session to, sized for the largest job in the mix. Jobs add in
+    // place; concurrent cores touching one tenant's buffer is
+    // timing-deterministic, and values are not checked here.
     let max_eles = plan.iter().map(|j| j.n_eles).max().unwrap_or(64);
     let buffers: Vec<bruntime::RemotePtr> = (0..scale.tenants)
         .map(|t| {
@@ -481,164 +382,68 @@ pub fn run_policy_fleet_telemetry_batched(
         }
     });
 
-    // Interleaved teardown across sessions, as in the single-server path.
+    // Interleaved teardown across sessions: the shared allocator must
+    // coalesce the holes (regression shape for multi-session `free`).
     for (t, mem) in buffers.into_iter().enumerate().rev() {
         fleet.session(t).free(mem).expect("free tenant buffer");
     }
-    (row, shard_rows, telemetry)
+    PolicyRun {
+        row,
+        shard_rows,
+        telemetry,
+    }
 }
 
-/// Runs every policy over the seeded schedule through a `shards`-replica
-/// fleet, one policy per host thread. Rows come back in
-/// [`DispatchPolicy::all`] order; the per-policy shard slices ride
-/// along. `BSERVER_SHARDS` only caps the fleet's *execution* width, so
-/// stdout rendered from these rows is byte-identical at any value of it.
-pub fn run_fleet_on(
+/// Runs every policy over the seeded schedule, one policy per host
+/// thread (`workers` of them), each on its own `shards`-replica fleet
+/// (see [`run_policy`]). Returns the runs in [`DispatchPolicy::all`]
+/// order — baseline first — plus the total simulated cycles.
+/// `BSERVER_SHARDS` only caps each fleet's *execution* width, so stdout
+/// rendered from these runs is byte-identical at any value of it and at
+/// any worker count.
+pub fn run_on(
     seed: u64,
     scale: &LoadScale,
     shards: usize,
-    workers: usize,
-) -> (Vec<(PolicyRow, Vec<ShardRow>)>, u64) {
-    let (rows, cycles) = run_fleet_on_telemetry(seed, scale, shards, workers, None);
-    (rows.into_iter().map(|(r, s, _)| (r, s)).collect(), cycles)
-}
-
-/// [`run_fleet_on`] with optional telemetry: same rows (telemetry never
-/// changes cycles or outcomes), plus each policy's windowed time-series
-/// and merged-trace path when `opts` is `Some`.
-pub fn run_fleet_on_telemetry(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    workers: usize,
-    opts: Option<TelemetryOpts>,
-) -> (
-    Vec<(PolicyRow, Vec<ShardRow>, Option<PolicyTelemetry>)>,
-    u64,
-) {
-    run_fleet_on_telemetry_batched(seed, scale, shards, workers, opts, BatchPolicy::Unbatched)
-}
-
-/// [`run_fleet_on_telemetry`] with an explicit [`BatchPolicy`] applied to
-/// every event-driven policy's run (the baseline ignores it). `Unbatched`
-/// is exactly the unbatched function at any worker count.
-pub fn run_fleet_on_telemetry_batched(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    workers: usize,
-    opts: Option<TelemetryOpts>,
-    batch: BatchPolicy,
-) -> (
-    Vec<(PolicyRow, Vec<ShardRow>, Option<PolicyTelemetry>)>,
-    u64,
-) {
-    let plan = plan(seed, scale);
-    let s = *scale;
-    let jobs: Vec<crate::par::Job<(PolicyRow, Vec<ShardRow>, Option<PolicyTelemetry>)>> =
-        DispatchPolicy::all()
-            .into_iter()
-            .map(|policy| {
-                let plan = plan.clone();
-                let opts = opts.clone();
-                crate::par::Job::new(format!("loadgen-fleet: {policy}"), move || {
-                    let (row, shard_rows, telemetry) = run_policy_fleet_telemetry_batched(
-                        policy,
-                        &plan,
-                        &s,
-                        shards,
-                        opts.as_ref(),
-                        batch,
-                    );
-                    eprintln!(
-                        "loadgen: {} done ({} completed, {} rejected, {} cycles, {} shards)",
-                        policy,
-                        row.completed,
-                        row.rejected,
-                        row.makespan_cycles,
-                        shard_rows.len()
-                    );
-                    (row, shard_rows, telemetry)
-                })
-            })
-            .collect();
-    let rows = crate::par::run_jobs_on(jobs, workers);
-    let total_cycles = rows.iter().map(|(r, _, _)| r.makespan_cycles).sum();
-    (rows, total_cycles)
-}
-
-/// Runs every policy over the seeded schedule on `workers` host threads
-/// (one fresh SoC per policy) and returns `(rows, total simulated
-/// cycles)`. Rows come back in [`DispatchPolicy::all`] order — baseline
-/// first — at any worker count.
-pub fn run_on(seed: u64, scale: &LoadScale, workers: usize) -> (Vec<PolicyRow>, u64) {
-    run_on_batched(seed, scale, workers, BatchPolicy::Unbatched)
-}
-
-/// [`run_on`] with an explicit [`BatchPolicy`] applied to every
-/// event-driven policy's run (the baseline ignores it). `Unbatched` is
-/// exactly [`run_on`] at any worker count.
-pub fn run_on_batched(
-    seed: u64,
-    scale: &LoadScale,
     workers: usize,
     batch: BatchPolicy,
-) -> (Vec<PolicyRow>, u64) {
+    opts: Option<TelemetryOpts>,
+) -> (Vec<PolicyRun>, u64) {
     let plan = plan(seed, scale);
     let s = *scale;
-    let jobs: Vec<crate::par::Job<PolicyRow>> = DispatchPolicy::all()
+    let jobs: Vec<crate::par::Job<PolicyRun>> = DispatchPolicy::all()
         .into_iter()
         .map(|policy| {
             let plan = plan.clone();
+            let opts = opts.clone();
             crate::par::Job::new(format!("loadgen: {policy}"), move || {
-                let row = run_policy_batched(policy, &plan, &s, batch);
+                let run = run_policy(policy, &plan, &s, shards, batch, opts.as_ref());
                 eprintln!(
-                    "loadgen: {} done ({} completed, {} rejected, {} cycles)",
-                    policy, row.completed, row.rejected, row.makespan_cycles
+                    "loadgen: {} done ({} completed, {} rejected, {} cycles, {} shards)",
+                    policy,
+                    run.row.completed,
+                    run.row.rejected,
+                    run.row.makespan_cycles,
+                    run.shard_rows.len()
                 );
-                row
+                run
             })
         })
         .collect();
-    let rows = crate::par::run_jobs_on(jobs, workers);
-    let total_cycles = rows.iter().map(|r| r.makespan_cycles).sum();
-    (rows, total_cycles)
+    let runs = crate::par::run_jobs_on(jobs, workers);
+    let total_cycles = runs.iter().map(|r| r.row.makespan_cycles).sum();
+    (runs, total_cycles)
 }
 
-/// [`run_on`] at the ambient [`crate::worker_count`].
-pub fn run(seed: u64, scale: &LoadScale) -> (Vec<PolicyRow>, u64) {
-    run_on(seed, scale, crate::worker_count())
-}
-
-/// Renders the text report (the deterministic stdout artifact).
-pub fn render(seed: u64, scale: &LoadScale, rows: &[PolicyRow]) -> String {
-    render_with_header_suffix(seed, scale, rows, "")
-}
-
-/// [`render`] for a fleet run: identical bytes at 1 shard (the
-/// `fleet_loadgen` test enforces it); at N > 1 only the header gains a
-/// `, N shards` annotation — per-shard stats live in the JSON artifact.
-pub fn render_sharded(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    rows: &[(PolicyRow, Vec<ShardRow>)],
-) -> String {
+/// Renders the text report (the deterministic stdout artifact). At more
+/// than one shard the header gains a `, N shards` annotation; per-shard
+/// stats and telemetry live in the JSON summary, never in the table.
+pub fn render(seed: u64, scale: &LoadScale, shards: usize, runs: &[PolicyRun]) -> String {
     let suffix = if shards > 1 {
         format!(", {shards} shards")
     } else {
         String::new()
     };
-    let plain: Vec<PolicyRow> = rows.iter().map(|(r, _)| r.clone()).collect();
-    render_with_header_suffix(seed, scale, &plain, &suffix)
-}
-
-fn render_with_header_suffix(
-    seed: u64,
-    scale: &LoadScale,
-    rows: &[PolicyRow],
-    suffix: &str,
-) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "Load generator: {} jobs, {} tenants, {} cores, mean gap {} cycles, seed {}{}\n\n",
@@ -650,7 +455,7 @@ fn render_with_header_suffix(
     ));
     out.push_str(&"-".repeat(102));
     out.push('\n');
-    for row in rows {
+    for PolicyRun { row, .. } in runs {
         out.push_str(&format!(
             "{:<16} {:>6} {:>6} {:>8} {:>9} {:>9} {:>9} {:>12} {:>11} {:>6}\n",
             row.policy.name(),
@@ -669,41 +474,49 @@ fn render_with_header_suffix(
     out
 }
 
-/// Renders the machine-readable JSON summary (the `--json` artifact; CI's
-/// smoke step parses it). The vendored `serde` is a stub, so this is
-/// hand-rolled — `bsim::perf::validate_json` guards its shape in tests.
-pub fn render_json(seed: u64, scale: &LoadScale, rows: &[PolicyRow]) -> String {
-    render_json_batched(seed, scale, BatchPolicy::Unbatched, rows)
-}
-
-/// [`render_json`] for a batched run: the same shape plus a top-level
-/// `"batch"` field (`"N"` or `"auto"`). With `Unbatched` the field is
-/// omitted and the output is byte-identical to [`render_json`].
-pub fn render_json_batched(
+/// Renders the machine-readable JSON summary (the `--json` artifact;
+/// CI's smoke step parses it). The vendored `serde` is a stub, so this
+/// is hand-rolled — `bsim::perf::validate_json` guards its shape in
+/// tests.
+///
+/// The shape follows what the run was asked for:
+///
+/// * a top-level `"batch"` field (`"N"` or `"auto"`) only when the width
+///   is not the default 1;
+/// * with `shards` `Some(n)` (the `--shards` or telemetry flags), a
+///   top-level `"shards":n` and, per policy, a `"shard_stats"` array of
+///   dispatched/completed/rejected/p99 per shard;
+/// * per policy, a `"telemetry"` object (window width, aggregate and
+///   per-shard window arrays, merged-trace path if one was written)
+///   when its run carries telemetry.
+pub fn render_json(
     seed: u64,
     scale: &LoadScale,
+    shards: Option<usize>,
     batch: BatchPolicy,
-    rows: &[PolicyRow],
+    runs: &[PolicyRun],
 ) -> String {
     let mut out = format!(
         "{{\"seed\":{},\"tenants\":{},\"jobs\":{},\"cores\":{},\
-         \"mean_gap_cycles\":{},\"queue_capacity\":{},{}\"policies\":[",
-        seed,
-        scale.tenants,
-        scale.jobs,
-        scale.n_cores,
-        scale.mean_gap_cycles,
-        scale.queue_capacity,
-        batch_json_field(batch),
+         \"mean_gap_cycles\":{},\"queue_capacity\":{},",
+        seed, scale.tenants, scale.jobs, scale.n_cores, scale.mean_gap_cycles, scale.queue_capacity,
     );
-    for (i, row) in rows.iter().enumerate() {
+    if batch != BatchPolicy::Fixed(1) {
+        out.push_str(&format!("\"batch\":\"{batch}\","));
+    }
+    if let Some(n) = shards {
+        out.push_str(&format!("\"shards\":{n},"));
+    }
+    out.push_str("\"policies\":[");
+    for (i, run) in runs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
+        let row = &run.row;
         out.push_str(&format!(
             "{{\"policy\":\"{}\",\"offered\":{},\"completed\":{},\"rejected\":{},\
              \"p50\":{},\"p90\":{},\"p99\":{},\"max\":{},\
-             \"makespan_cycles\":{},\"lock_wait_cycles\":{},\"queue_depth_peak\":{}}}",
+             \"makespan_cycles\":{},\"lock_wait_cycles\":{},\"queue_depth_peak\":{}",
             row.policy.name(),
             row.offered,
             row.completed,
@@ -716,90 +529,27 @@ pub fn render_json_batched(
             row.lock_wait_cycles,
             row.queue_depth_peak,
         ));
+        if shards.is_some() {
+            out.push_str(",\"shard_stats\":[");
+            for (j, s) in run.shard_rows.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                out.push_str(&format!(
+                    "{{\"shard\":{},\"tenants\":{},\"dispatched\":{},\"completed\":{},\
+                     \"rejected\":{},\"p99\":{}}}",
+                    s.shard, s.tenants, s.dispatched, s.completed, s.rejected, s.p99
+                ));
+            }
+            out.push(']');
+        }
+        if let Some(t) = &run.telemetry {
+            out.push_str(&format!(",\"telemetry\":{}", telemetry_json(t)));
+        }
+        out.push('}');
     }
     out.push_str("]}");
     out
-}
-
-/// Renders the fleet JSON summary: the [`render_json`] shape with a
-/// top-level `"shards"` count and, per policy, a `"shard_stats"` array
-/// of dispatched/completed/rejected/p99 per shard next to the aggregate
-/// fields. Hand-rolled like [`render_json`]; `bsim::perf::validate_json`
-/// guards the shape in tests.
-pub fn render_json_sharded(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    rows: &[(PolicyRow, Vec<ShardRow>)],
-) -> String {
-    render_json_sharded_inner(
-        seed,
-        scale,
-        shards,
-        BatchPolicy::Unbatched,
-        rows.iter().map(|(r, s)| (r, s.as_slice(), None)),
-    )
-}
-
-/// [`render_json_sharded`] for a telemetry-carrying run: policies whose
-/// telemetry is `Some` gain a `"telemetry"` object with the window
-/// width, the aggregate per-window time-series, per-shard window arrays,
-/// and the merged-trace path if one was written. With every telemetry
-/// slot `None` the output is byte-identical to [`render_json_sharded`].
-pub fn render_json_sharded_telemetry(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    rows: &[(PolicyRow, Vec<ShardRow>, Option<PolicyTelemetry>)],
-) -> String {
-    render_json_sharded_telemetry_batched(seed, scale, shards, BatchPolicy::Unbatched, rows)
-}
-
-/// [`render_json_sharded_telemetry`] for a batched fleet run: the same
-/// shape plus a top-level `"batch"` field. With `Unbatched` the field is
-/// omitted and the output is byte-identical.
-pub fn render_json_sharded_telemetry_batched(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    batch: BatchPolicy,
-    rows: &[(PolicyRow, Vec<ShardRow>, Option<PolicyTelemetry>)],
-) -> String {
-    render_json_sharded_inner(
-        seed,
-        scale,
-        shards,
-        batch,
-        rows.iter().map(|(r, s, t)| (r, s.as_slice(), t.as_ref())),
-    )
-}
-
-/// The top-level `"batch"` JSON fragment: empty for `Unbatched` (so
-/// unbatched output stays byte-identical to the pre-batching shape),
-/// `"batch":"N"` or `"batch":"auto"` with a trailing comma otherwise.
-fn batch_json_field(batch: BatchPolicy) -> String {
-    match batch {
-        BatchPolicy::Unbatched => String::new(),
-        other => format!("\"batch\":\"{other}\","),
-    }
-}
-
-/// [`render_sharded`] for a telemetry-carrying run: the table itself is
-/// identical bytes — telemetry artifacts live in the JSON summary and
-/// the trace files, never in the stdout table.
-pub fn render_sharded_telemetry(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    rows: &[(PolicyRow, Vec<ShardRow>, Option<PolicyTelemetry>)],
-) -> String {
-    let suffix = if shards > 1 {
-        format!(", {shards} shards")
-    } else {
-        String::new()
-    };
-    let plain: Vec<PolicyRow> = rows.iter().map(|(r, _, _)| r.clone()).collect();
-    render_with_header_suffix(seed, scale, &plain, &suffix)
 }
 
 /// One window row as a JSON object (hand-rolled; the vendored `serde`
@@ -878,66 +628,6 @@ fn telemetry_json(t: &PolicyTelemetry) -> String {
     out
 }
 
-fn render_json_sharded_inner<'a>(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    batch: BatchPolicy,
-    rows: impl Iterator<Item = (&'a PolicyRow, &'a [ShardRow], Option<&'a PolicyTelemetry>)>,
-) -> String {
-    let mut out = format!(
-        "{{\"seed\":{},\"tenants\":{},\"jobs\":{},\"cores\":{},\
-         \"mean_gap_cycles\":{},\"queue_capacity\":{},{}\"shards\":{},\"policies\":[",
-        seed,
-        scale.tenants,
-        scale.jobs,
-        scale.n_cores,
-        scale.mean_gap_cycles,
-        scale.queue_capacity,
-        batch_json_field(batch),
-        shards
-    );
-    for (i, (row, shard_rows, telemetry)) in rows.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"policy\":\"{}\",\"offered\":{},\"completed\":{},\"rejected\":{},\
-             \"p50\":{},\"p90\":{},\"p99\":{},\"max\":{},\
-             \"makespan_cycles\":{},\"lock_wait_cycles\":{},\"queue_depth_peak\":{},\
-             \"shard_stats\":[",
-            row.policy.name(),
-            row.offered,
-            row.completed,
-            row.rejected,
-            row.latency.0,
-            row.latency.1,
-            row.latency.2,
-            row.latency.3,
-            row.makespan_cycles,
-            row.lock_wait_cycles,
-            row.queue_depth_peak,
-        ));
-        for (j, s) in shard_rows.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"shard\":{},\"tenants\":{},\"dispatched\":{},\"completed\":{},\
-                 \"rejected\":{},\"p99\":{}}}",
-                s.shard, s.tenants, s.dispatched, s.completed, s.rejected, s.p99
-            ));
-        }
-        out.push(']');
-        if let Some(t) = telemetry {
-            out.push_str(&format!(",\"telemetry\":{}", telemetry_json(t)));
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -980,34 +670,19 @@ mod tests {
         // The acceptance shape: at saturating load, round-robin or SJF
         // must beat the lock-arbitrated baseline on p99 latency.
         let scale = LoadScale::small();
-        let (rows, _) = run_on(42, &scale, 1);
-        assert_eq!(rows[0].policy, DispatchPolicy::LockArbitrated);
-        let baseline_p99 = rows[0].latency.2;
-        let best_improved = rows[1..].iter().map(|r| r.latency.2).min().unwrap();
+        let (runs, _) = run_on(42, &scale, 1, 1, BatchPolicy::Fixed(1), None);
+        assert_eq!(runs[0].row.policy, DispatchPolicy::LockArbitrated);
+        let baseline_p99 = runs[0].row.latency.2;
+        let best_improved = runs[1..].iter().map(|r| r.row.latency.2).min().unwrap();
         assert!(
             best_improved < baseline_p99,
             "an event-driven policy must beat the baseline p99 \
              ({best_improved} vs {baseline_p99})"
         );
-        for row in &rows {
+        for PolicyRun { row, .. } in &runs {
             assert!(row.completed > 0, "{}: some jobs must complete", row.policy);
             assert_eq!(row.offered, scale.jobs);
         }
-    }
-
-    #[test]
-    fn fleet_at_one_shard_renders_identical_bytes() {
-        let scale = LoadScale {
-            jobs: 10,
-            ..LoadScale::small()
-        };
-        let (rows, _) = run_on(42, &scale, 1);
-        let (fleet_rows, _) = run_fleet_on(42, &scale, 1, 1);
-        assert_eq!(
-            render(42, &scale, &rows),
-            render_sharded(42, &scale, 1, &fleet_rows),
-            "a 1-shard fleet run must render the single-server bytes"
-        );
     }
 
     #[test]
@@ -1016,23 +691,24 @@ mod tests {
             jobs: 10,
             ..LoadScale::small()
         };
-        let (a, _) = run_fleet_on(7, &scale, 2, 2);
-        let (b, _) = run_fleet_on(7, &scale, 2, 1);
+        let batch = BatchPolicy::Fixed(1);
+        let (a, _) = run_on(7, &scale, 2, 2, batch, None);
+        let (b, _) = run_on(7, &scale, 2, 1, batch, None);
         assert_eq!(
-            render_sharded(7, &scale, 2, &a),
-            render_sharded(7, &scale, 2, &b),
+            render(7, &scale, 2, &a),
+            render(7, &scale, 2, &b),
             "same seed and shard count must render identically at any \
              execution width"
         );
-        let json = render_json_sharded(7, &scale, 2, &a);
+        let json = render_json(7, &scale, Some(2), batch, &a);
         bsim::perf::validate_json(&json).expect("sharded summary must be valid JSON");
         assert!(json.contains("\"shards\":2"));
         assert!(json.contains("\"shard_stats\":[{\"shard\":0,"));
         assert!(json.contains("\"p99\":"));
         // Aggregate counts equal the sum of the per-shard slices.
-        for (row, shard_rows) in &a {
-            let done: u64 = shard_rows.iter().map(|s| s.completed).sum();
-            assert_eq!(done, row.completed as u64, "{}", row.policy);
+        for run in &a {
+            let done: u64 = run.shard_rows.iter().map(|s| s.completed).sum();
+            assert_eq!(done, run.row.completed as u64, "{}", run.row.policy);
         }
     }
 
@@ -1042,10 +718,15 @@ mod tests {
             jobs: 8,
             ..LoadScale::small()
         };
-        let (rows, _) = run_on(1, &scale, 1);
-        let json = render_json(1, &scale, &rows);
+        let (runs, _) = run_on(1, &scale, 1, 1, BatchPolicy::Fixed(1), None);
+        let json = render_json(1, &scale, None, BatchPolicy::Fixed(1), &runs);
         bsim::perf::validate_json(&json).expect("summary must be valid JSON");
         assert!(json.contains("\"policy\":\"lock-arbitrated\""));
         assert!(json.contains("\"p99\":"));
+        assert!(!json.contains("\"batch\""), "width 1 adds no batch field");
+        assert!(!json.contains("\"shards\""), "no shard stats unless asked");
+        let wide = render_json(1, &scale, None, BatchPolicy::Auto, &runs);
+        bsim::perf::validate_json(&wide).expect("batched summary must be valid JSON");
+        assert!(wide.contains("\"batch\":\"auto\","));
     }
 }

@@ -1,7 +1,7 @@
 //! The networked load generator (`loadgen --net ADDR`) and its
 //! in-process replay oracle (`loadgen --oracle`).
 //!
-//! Both modes expand the same seeded [`plan`](crate::loadgen::plan)
+//! Both modes expand the same seeded [`plan`]
 //! into *rounds* — a closed-loop client's submission windows, sized
 //! `tenants × queue_capacity` commands — and replay them against the
 //! same serving rig shape. The net mode drives a live `bservd` over
@@ -110,16 +110,16 @@ pub struct NetReport {
     pub net_counters: Vec<(String, u64)>,
 }
 
+/// Summarizes one run's outcomes over `rounds`; `net_counters` starts
+/// empty (the socket path fills it in from `STATS`).
 fn report_from_outcomes(
     mode: &'static str,
     policy: String,
     shards: u32,
     scale: &LoadScale,
-    rounds: usize,
-    offered: usize,
+    rounds: &[Vec<TraceCmd>],
     shed: usize,
     outcomes: &[KeyedOutcome],
-    net_counters: Vec<(String, u64)>,
 ) -> NetReport {
     let mut hist = Histogram::new();
     let mut completed = 0;
@@ -134,8 +134,8 @@ fn report_from_outcomes(
         policy,
         shards,
         tenants: scale.tenants,
-        rounds,
-        offered,
+        rounds: rounds.len(),
+        offered: rounds.iter().map(Vec::len).sum(),
         completed,
         rejected: outcomes.len() - completed,
         shed,
@@ -147,7 +147,7 @@ fn report_from_outcomes(
         ),
         digest: outcome_digest(outcomes),
         tenant_digests: tenant_digests(outcomes),
-        net_counters,
+        net_counters: Vec::new(),
     }
 }
 
@@ -203,17 +203,9 @@ pub fn run_net(
         client.bye()?;
     }
     outcomes.sort_by_key(|(tenant, seq, _)| (*tenant, *seq));
-    Ok(report_from_outcomes(
-        "net",
-        policy,
-        shards,
-        scale,
-        rounds.len(),
-        jobs.len(),
-        shed,
-        &outcomes,
-        net_counters,
-    ))
+    let mut report = report_from_outcomes("net", policy, shards, scale, &rounds, shed, &outcomes);
+    report.net_counters = net_counters;
+    Ok(report)
 }
 
 /// The in-process leg of the replay oracle: builds the same rig shape
@@ -236,11 +228,9 @@ pub fn run_oracle(
         policy.name().to_owned(),
         shards,
         scale,
-        rounds.len(),
-        jobs.len(),
+        &rounds,
         0,
         &outcomes,
-        Vec::new(),
     )
 }
 

@@ -6,6 +6,7 @@
 //! concurrent test in this binary.
 
 use bbench::loadgen::{plan, render, run_on, LoadScale};
+use bserver::BatchPolicy;
 
 #[test]
 fn loadgen_stdout_is_invariant_across_workers_and_scheduler_modes() {
@@ -22,14 +23,15 @@ fn loadgen_stdout_is_invariant_across_workers_and_scheduler_modes() {
     std::env::remove_var("BSIM_SCHED");
 
     // Reference: default scheduler, exact serial path.
-    let (rows, cycles) = run_on(seed, &scale, 1);
-    let reference = render(seed, &scale, &rows);
+    let run = |workers| run_on(seed, &scale, 1, workers, BatchPolicy::Fixed(1), None);
+    let (runs, cycles) = run(1);
+    let reference = render(seed, &scale, 1, &runs);
 
     // Worker-count sweep under the default scheduler.
-    let (rows, c) = run_on(seed, &scale, 4);
+    let (runs, c) = run(4);
     assert_eq!(c, cycles, "cycle totals must not depend on worker count");
     assert_eq!(
-        render(seed, &scale, &rows),
+        render(seed, &scale, 1, &runs),
         reference,
         "stdout must be byte-identical at any worker count"
     );
@@ -48,10 +50,10 @@ fn loadgen_stdout_is_invariant_across_workers_and_scheduler_modes() {
             Some(v) => std::env::set_var("BSIM_SCHED", v),
             None => std::env::remove_var("BSIM_SCHED"),
         }
-        let (rows, c) = run_on(seed, &scale, 2);
+        let (runs, c) = run(2);
         assert_eq!(c, cycles, "{label}: cycle totals must match");
         assert_eq!(
-            render(seed, &scale, &rows),
+            render(seed, &scale, 1, &runs),
             reference,
             "{label}: stdout must be byte-identical under every scheduler"
         );

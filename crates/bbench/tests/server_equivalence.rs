@@ -9,19 +9,22 @@ use bcore::elaborate;
 use bkernels::machsuite::nw;
 use bplatform::Platform;
 use bruntime::FpgaHandle;
-use bserver::{AccelServer, DispatchPolicy, JobOutcome, JobSpec, ServerConfig};
+use bserver::{DispatchPolicy, FleetConfig, FleetServer, JobOutcome, JobSpec, ServerConfig};
 
 const NW_N: usize = 32;
 
-/// Elaborates the Figure 6 multi-core shape (NW on AWS F1 at the paper's
-/// 125 MHz) and prepares `cmds` invocations' buffers, exactly as the
-/// fig6 harness does.
-fn prepared_soc(n_cores: u32, cmds: usize) -> (FpgaHandle, Vec<BTreeMap<String, u64>>) {
+/// Elaborates the Figure 6 multi-core shape: NW on AWS F1 at the
+/// paper's 125 MHz.
+fn nw_soc(n_cores: u32) -> bcore::SocSim {
     let mut platform = Platform::aws_f1();
     platform.fabric_mhz = 125;
-    let soc = elaborate(nw::config(n_cores, NW_N), &platform).expect("NW elaborates");
-    let handle = FpgaHandle::new(soc);
-    let prepared = (0..cmds)
+    elaborate(nw::config(n_cores, NW_N), &platform).expect("NW elaborates")
+}
+
+/// Prepares `cmds` invocations' buffers on `handle`, exactly as the fig6
+/// harness does.
+fn prepare(handle: &FpgaHandle, cmds: usize) -> Vec<BTreeMap<String, u64>> {
+    (0..cmds)
         .map(|idx| {
             let (a, b) = nw::workload(NW_N, idx as u64);
             let pa = handle.malloc(NW_N as u64).unwrap();
@@ -33,8 +36,7 @@ fn prepared_soc(n_cores: u32, cmds: usize) -> (FpgaHandle, Vec<BTreeMap<String, 
             handle.copy_to_fpga(pb);
             nw::args(pa.device_addr(), pb.device_addr(), po.device_addr(), NW_N)
         })
-        .collect();
-    (handle, prepared)
+        .collect()
 }
 
 #[test]
@@ -43,7 +45,8 @@ fn fig6_measured_leg_is_cycle_identical_through_the_server() {
     let cmds = 4usize;
 
     // Leg 1: the original Figure 6 sequence, driving the handle directly.
-    let (handle, prepared) = prepared_soc(n_cores, cmds);
+    let handle = FpgaHandle::new(nw_soc(n_cores));
+    let prepared = prepare(&handle, cmds);
     let mut responses = Vec::with_capacity(cmds);
     for (i, args) in prepared.into_iter().enumerate() {
         let core = (i % n_cores as usize) as u16;
@@ -55,14 +58,19 @@ fn fig6_measured_leg_is_cycle_identical_through_the_server() {
         .collect();
     let direct_cycles = handle.now();
 
-    // Leg 2: the same workload through the server's baseline policy.
-    let (handle, prepared) = prepared_soc(n_cores, cmds);
-    let config = ServerConfig {
-        policy: DispatchPolicy::LockArbitrated,
-        ..ServerConfig::default()
+    // Leg 2: the same workload through a 1-shard fleet's baseline policy.
+    let config = FleetConfig {
+        shards: 1,
+        server: ServerConfig {
+            policy: DispatchPolicy::LockArbitrated,
+            ..ServerConfig::default()
+        },
     };
-    let mut server = AccelServer::new(&handle, nw::SYSTEM, 1, config).expect("server opens");
-    let outcomes = server.run_batch(
+    let mut fleet =
+        FleetServer::new(|_| nw_soc(n_cores), nw::SYSTEM, 1, config).expect("fleet opens");
+    let handle = fleet.handle(0).clone();
+    let prepared = prepare(&handle, cmds);
+    let outcomes = fleet.run_batch(
         prepared
             .into_iter()
             .map(|args| (0, JobSpec::new(args)))

@@ -3,10 +3,8 @@
 //! rendered table or any measured quantity, and the emitted time-series
 //! must reconcile exactly with the whole-run aggregates it partitions.
 
-use bbench::loadgen::{
-    render_json_sharded, render_json_sharded_telemetry, render_sharded, render_sharded_telemetry,
-    run_fleet_on, run_fleet_on_telemetry, LoadScale, TelemetryOpts,
-};
+use bbench::loadgen::{render, render_json, run_on, LoadScale, PolicyRun, TelemetryOpts};
+use bserver::BatchPolicy;
 
 fn small_scale() -> LoadScale {
     LoadScale {
@@ -19,66 +17,60 @@ fn small_scale() -> LoadScale {
 fn telemetry_on_renders_identical_table_bytes() {
     let scale = small_scale();
     for shards in [1usize, 2] {
-        let (off, _) = run_fleet_on(42, &scale, shards, 1);
-        let (on, _) = run_fleet_on_telemetry(
+        let (off, _) = run_on(42, &scale, shards, 1, BatchPolicy::Fixed(1), None);
+        let (on, _) = run_on(
             42,
             &scale,
             shards,
             1,
+            BatchPolicy::Fixed(1),
             Some(TelemetryOpts {
                 window_cycles: 2048,
                 ..TelemetryOpts::default()
             }),
         );
         assert_eq!(
-            render_sharded(42, &scale, shards, &off),
-            render_sharded_telemetry(42, &scale, shards, &on),
+            render(42, &scale, shards, &off),
+            render(42, &scale, shards, &on),
             "telemetry must not change the {shards}-shard table"
         );
         // Every measured field matches, not just the rendered subset.
-        for ((a, sa), (b, sb, _)) in off.iter().zip(&on) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
-            assert_eq!(format!("{sa:?}"), format!("{sb:?}"));
+        for (a, b) in off.iter().zip(&on) {
+            assert_eq!(format!("{:?}", a.row), format!("{:?}", b.row));
+            assert_eq!(format!("{:?}", a.shard_rows), format!("{:?}", b.shard_rows));
         }
     }
-}
-
-#[test]
-fn json_without_telemetry_is_byte_identical_to_the_plain_renderer() {
-    let scale = small_scale();
-    let (rows, _) = run_fleet_on(7, &scale, 2, 1);
-    let tuples: Vec<_> = rows
-        .iter()
-        .map(|(r, s)| (r.clone(), s.clone(), None))
-        .collect();
-    assert_eq!(
-        render_json_sharded(7, &scale, 2, &rows),
-        render_json_sharded_telemetry(7, &scale, 2, &tuples),
-    );
 }
 
 #[test]
 fn telemetry_json_validates_and_windows_reconcile_with_totals() {
     let scale = small_scale();
     let shards = 2usize;
-    let (rows, _) = run_fleet_on_telemetry(
+    let batch = BatchPolicy::Fixed(1);
+    let (runs, _) = run_on(
         42,
         &scale,
         shards,
         1,
+        batch,
         Some(TelemetryOpts {
             window_cycles: 4096,
             ..TelemetryOpts::default()
         }),
     );
-    let json = render_json_sharded_telemetry(42, &scale, shards, &rows);
+    let json = render_json(42, &scale, Some(shards), batch, &runs);
     bsim::perf::validate_json(&json).expect("telemetry summary must be valid JSON");
     assert!(json.contains("\"telemetry\":{\"window_cycles\":4096"));
     assert!(json.contains("\"windows\":["));
     assert!(json.contains("\"shard_windows\":[{\"shard\":0,"));
     assert!(json.contains("\"latency_p99\":"));
 
-    for (row, shard_rows, telemetry) in &rows {
+    for PolicyRun {
+        row,
+        shard_rows,
+        telemetry,
+    } in &runs
+    {
         let t = telemetry.as_ref().expect("telemetry requested");
         // The aggregate time-series partitions the run totals exactly.
         let agg = &t.metrics.aggregate;
@@ -123,17 +115,18 @@ fn merged_trace_file_is_written_and_valid() {
     let scale = small_scale();
     let dir = std::env::temp_dir().join(format!("bbench-trace-test-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let (rows, _) = run_fleet_on_telemetry(
+    let (runs, _) = run_on(
         42,
         &scale,
         2,
         1,
+        BatchPolicy::Fixed(1),
         Some(TelemetryOpts {
             trace_dir: Some(dir.clone()),
             ..TelemetryOpts::default()
         }),
     );
-    for (row, _, telemetry) in &rows {
+    for PolicyRun { row, telemetry, .. } in &runs {
         let path = telemetry
             .as_ref()
             .and_then(|t| t.trace_path.as_ref())

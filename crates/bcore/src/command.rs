@@ -117,6 +117,21 @@ impl AccelCommandSpec {
     pub fn beats(&self) -> u8 {
         self.payload_bits().div_ceil(ROCC_PAYLOAD_BITS).max(1) as u8
     }
+
+    /// Checks `args` against this spec without packing them: the same
+    /// errors, in the same order, that [`pack_command`] would return.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CommandPackError`] for missing, unknown, or over-wide
+    /// arguments.
+    pub fn check_args(&self, args: &CommandArgs) -> Result<(), CommandPackError> {
+        check_known_fields(self, args)?;
+        for (name, ty) in &self.fields {
+            checked_field(args, name, *ty)?;
+        }
+        Ok(())
+    }
 }
 
 /// A response declaration (the paper's `EmptyAccelResponse()` or a custom
@@ -296,6 +311,33 @@ impl<'a> BitReader<'a> {
     }
 }
 
+/// Fails on the first supplied argument `spec` does not declare.
+fn check_known_fields(spec: &AccelCommandSpec, args: &CommandArgs) -> Result<(), CommandPackError> {
+    match args
+        .keys()
+        .find(|name| !spec.fields.iter().any(|(f, _)| f == *name))
+    {
+        Some(name) => Err(CommandPackError::UnknownField(name.clone())),
+        None => Ok(()),
+    }
+}
+
+/// The value supplied for field `name`, if present and within its width.
+fn checked_field(args: &CommandArgs, name: &str, ty: FieldType) -> Result<u64, CommandPackError> {
+    let value = *args
+        .get(name)
+        .ok_or_else(|| CommandPackError::MissingField(name.to_owned()))?;
+    let bits = ty.bits();
+    if bits < 64 && value >> bits != 0 {
+        return Err(CommandPackError::ValueTooWide {
+            field: name.to_owned(),
+            value,
+            bits,
+        });
+    }
+    Ok(value)
+}
+
 /// Packs `args` against `spec` into a RoCC beat sequence addressed to
 /// `(system_id, core_id)`.
 ///
@@ -309,25 +351,10 @@ pub fn pack_command(
     core_id: u16,
     args: &CommandArgs,
 ) -> Result<PackedCommand, CommandPackError> {
-    for name in args.keys() {
-        if !spec.fields.iter().any(|(f, _)| f == name) {
-            return Err(CommandPackError::UnknownField(name.clone()));
-        }
-    }
+    check_known_fields(spec, args)?;
     let mut writer = BitWriter::new();
     for (name, ty) in &spec.fields {
-        let value = *args
-            .get(name)
-            .ok_or_else(|| CommandPackError::MissingField(name.clone()))?;
-        let bits = ty.bits();
-        if bits < 64 && value >> bits != 0 {
-            return Err(CommandPackError::ValueTooWide {
-                field: name.clone(),
-                value,
-                bits,
-            });
-        }
-        writer.push(value, bits);
+        writer.push(checked_field(args, name, *ty)?, ty.bits());
     }
     let total_beats = spec.beats();
     // Ensure we have 2 words per beat.

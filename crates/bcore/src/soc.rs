@@ -298,6 +298,11 @@ impl SocSim {
             .map(|i| i as u16)
     }
 
+    /// The command spec `system`'s cores accept, if the system exists.
+    pub fn command_spec(&self, system: u16) -> Option<&AccelCommandSpec> {
+        self.specs.get(system as usize)
+    }
+
     /// Number of cores in `system`.
     pub fn cores_in(&self, system: u16) -> u16 {
         self.links

@@ -4,7 +4,7 @@
 //! followed by the payload; the payload is a one-byte tag and the
 //! tag-specific fields. Integers are little-endian, strings are
 //! `u16`-length-prefixed UTF-8. The decoder is a pure function over a
-//! byte slice through a bounds-checked [`Reader`]: hostile input —
+//! byte slice through a bounds-checked `Reader`: hostile input —
 //! truncated, oversized, wrong-tag, junk UTF-8 — always comes back as a
 //! [`DecodeError`], never a panic, and the length prefix is validated
 //! against [`MAX_FRAME_LEN`] *before* any allocation so a forged header
@@ -208,6 +208,8 @@ pub enum WireReject {
     AdmissionFull,
     /// The queue-wait deadline expired.
     DeadlineExpired,
+    /// The job's arguments do not match the system's command spec.
+    BadArgs,
 }
 
 /// A [`JobOutcome`] as it travels on the wire.
@@ -262,6 +264,7 @@ impl WireOutcome {
                 reason: match reason {
                     RejectReason::AdmissionFull => WireReject::AdmissionFull,
                     RejectReason::DeadlineExpired => WireReject::DeadlineExpired,
+                    RejectReason::BadArgs => WireReject::BadArgs,
                 },
                 retries,
                 queue_wait_cycles,
@@ -308,6 +311,7 @@ impl WireOutcome {
                 out.push(match reason {
                     WireReject::AdmissionFull => 1,
                     WireReject::DeadlineExpired => 2,
+                    WireReject::BadArgs => 3,
                 });
                 out.extend_from_slice(&retries.to_le_bytes());
                 out.extend_from_slice(&queue_wait_cycles.to_le_bytes());
@@ -324,11 +328,11 @@ impl WireOutcome {
                 core: r.u16()?,
                 retries: r.u32()?,
             }),
-            kind @ (1 | 2) => Ok(WireOutcome::Rejected {
-                reason: if kind == 1 {
-                    WireReject::AdmissionFull
-                } else {
-                    WireReject::DeadlineExpired
+            kind @ 1..=3 => Ok(WireOutcome::Rejected {
+                reason: match kind {
+                    1 => WireReject::AdmissionFull,
+                    2 => WireReject::DeadlineExpired,
+                    _ => WireReject::BadArgs,
                 },
                 retries: r.u32()?,
                 queue_wait_cycles: r.u64()?,
@@ -802,6 +806,14 @@ mod tests {
                     reason: WireReject::AdmissionFull,
                     retries: 2,
                     queue_wait_cycles: 50,
+                },
+            },
+            Frame::Outcome {
+                seq: 44,
+                outcome: WireOutcome::Rejected {
+                    reason: WireReject::BadArgs,
+                    retries: 0,
+                    queue_wait_cycles: 0,
                 },
             },
             Frame::Done { count: 2 },

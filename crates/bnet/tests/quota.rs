@@ -5,14 +5,16 @@
 //! connection-flooding tenant cannot starve another tenant's session.
 //! Liveness under misbehaviour: aborted handshakes never leak conn
 //! slots, a submit-without-poll staller is evicted at the stall
-//! deadline so honest tenants' waves keep running, and a dead
-//! connection's unserved seqs are freed for resubmission.
+//! deadline so honest tenants' waves keep running, a dead
+//! connection's unserved seqs are freed for resubmission, and a job
+//! whose arguments do not fit the command spec comes back rejected
+//! without stalling anyone else's wave.
 
 use std::time::{Duration, Instant};
 
 use bnet::{
     build, tenant_token, write_frame, ClientError, ErrCode, Frame, NetClient, NetConfig, NetServer,
-    RigConfig, SubmitReply, WireJob, DEFAULT_AUTH_SEED, PROTO_VERSION,
+    RigConfig, SubmitReply, WireJob, WireOutcome, WireReject, DEFAULT_AUTH_SEED, PROTO_VERSION,
 };
 
 fn job(buffer_addr: u64, at_cycle: u64) -> WireJob {
@@ -306,5 +308,59 @@ fn dead_connections_unserved_seq_is_freed_for_resubmission() {
     }
     assert_eq!(second.poll().expect("poll").len(), 1);
     second.bye().expect("bye");
+    server.stop();
+}
+
+#[test]
+fn bad_args_submit_is_rejected_and_other_tenants_keep_polling() {
+    let (server, addr) = small_server(|_| {});
+    let (tx, rx) = std::sync::mpsc::channel();
+    let probe_addr = addr.clone();
+    // The clients run on their own thread so a wedged wave fails the
+    // test at the deadline below instead of hanging it.
+    std::thread::spawn(move || {
+        let mut bad = connect(&probe_addr, 1);
+        let mut honest = connect(&probe_addr, 0);
+        // `n_eles` is a 20-bit field: u32::MAX cannot be packed.
+        let mut too_wide = job(bad.info().buffer_addr, 0);
+        too_wide.args = bkernels::vecadd::args(1, bad.info().buffer_addr, u32::MAX)
+            .into_iter()
+            .collect();
+        assert_eq!(bad.submit(0, &too_wide).unwrap(), SubmitReply::Accepted);
+        let honest_addr = honest.info().buffer_addr;
+        assert_eq!(
+            honest.submit(0, &job(honest_addr, 0)).unwrap(),
+            SubmitReply::Accepted
+        );
+        bad.poll_send().expect("poll");
+        honest.poll_send().expect("poll");
+        let replies = (
+            bad.poll_recv().expect("bad tenant's poll"),
+            honest.poll_recv().expect("honest tenant's poll"),
+        );
+        tx.send(replies).ok();
+        bad.bye().expect("bye");
+        honest.bye().expect("bye");
+    });
+    let (bad_out, honest_out) = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("both tenants' POLLs must complete within 20 s");
+    assert!(
+        matches!(
+            bad_out[..],
+            [(
+                0,
+                WireOutcome::Rejected {
+                    reason: WireReject::BadArgs,
+                    ..
+                }
+            )]
+        ),
+        "{bad_out:?}"
+    );
+    assert!(
+        matches!(honest_out[..], [(0, WireOutcome::Completed { .. })]),
+        "{honest_out:?}"
+    );
     server.stop();
 }

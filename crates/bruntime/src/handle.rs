@@ -1255,7 +1255,7 @@ mod tests {
     fn batch_rejects_overfull_core_without_side_effects() {
         let handle = make_handle(&Platform::sim(), 1);
         let mem = handle.malloc(4096).unwrap();
-        handle.write_u32_slice(mem, &vec![1u32; 16]);
+        handle.write_u32_slice(mem, &[1u32; 16]);
         let args = call_args(mem.device_addr(), 16);
         let free = handle.with_soc(|soc| soc.cmd_queue_free(0, 0).unwrap());
         let items: Vec<_> = (0..free + 1).map(|_| (0u16, args.clone())).collect();

@@ -1,16 +1,16 @@
-//! The sharded accelerator fleet: one [`AccelServer`]+SoC per worker
-//! thread, with a deterministic admission layer hashing sessions to
-//! shards.
+//! The sharded accelerator fleet — the crate's one serving API: one
+//! server+SoC shard per worker thread, with a deterministic admission
+//! layer hashing sessions to shards.
 //!
-//! A single [`AccelServer`] arbitrates one SoC; since the arena refactor
-//! made [`bsim::Simulation`] (and therefore [`bcore::SocSim`] and
+//! A shard's server arbitrates one SoC; since the arena refactor made
+//! [`bsim::Simulation`] (and therefore [`bcore::SocSim`] and
 //! [`bruntime::FpgaHandle`]) `Send`, a whole server — simulation, device
 //! allocator, sessions, in-flight queues — can be built on one thread and
 //! run on another. The fleet exploits that: it elaborates `shards`
 //! independent replicas of the same system, assigns every tenant session
 //! to exactly one replica with a seed-free hash ([`shard_for_session`]),
 //! and serves each shard's slice of the arrival schedule on its own
-//! worker thread.
+//! worker thread. A single-SoC deployment is simply a 1-shard fleet.
 //!
 //! Determinism is by construction, the same way `bbench::par` gets it:
 //! each shard is a closed simulation whose only inputs are its tenant
@@ -30,8 +30,9 @@ use bcore::SocSim;
 use bruntime::{FpgaHandle, SessionHandle};
 use bsim::{perfetto_trace, Histogram, ProcessSpans, WindowSeries};
 
+use crate::server::AccelServer;
 use crate::telemetry::{MetricsSnapshot, TelemetryConfig};
-use crate::{AccelServer, Arrival, JobOutcome, JobSpec, ServerConfig, ServerError};
+use crate::{Arrival, JobOutcome, JobSpec, ServerConfig, ServerError};
 
 /// The fleet's shard count when the embedder does not pin one: the
 /// `BSERVER_SHARDS` environment override if set, else the host's
@@ -62,7 +63,7 @@ pub struct FleetConfig {
     /// resolved count is clamped to the tenant count — a shard with no
     /// possible tenant would never receive work.
     pub shards: usize,
-    /// Per-shard [`AccelServer`] configuration.
+    /// Per-shard server configuration.
     pub server: ServerConfig,
 }
 
@@ -79,8 +80,8 @@ struct Shard {
     trace_map: Vec<usize>,
 }
 
-/// A fleet of [`AccelServer`] replicas behind one deterministic
-/// admission layer.
+/// A fleet of server+SoC replicas behind one deterministic admission
+/// layer.
 ///
 /// Tenants are global (`0..n_tenants`); the fleet maps each to
 /// `(shard, local session)` at construction and keeps that mapping for
@@ -104,8 +105,8 @@ impl FleetServer {
     ///
     /// # Errors
     ///
-    /// Propagates [`ServerError`] from any shard's [`AccelServer::new`]
-    /// (unknown system, or `n_tenants == 0`).
+    /// [`ServerError::UnknownSystem`] if `system` is not on the SoC
+    /// `mk_soc` builds, [`ServerError::NoTenants`] if `n_tenants == 0`.
     pub fn new(
         mk_soc: impl Fn(usize) -> SocSim,
         system: &str,
@@ -181,11 +182,6 @@ impl FleetServer {
         &self.shards[shard].handle
     }
 
-    /// A shard's server.
-    pub fn server(&self, shard: usize) -> &AccelServer {
-        &self.shards[shard].server
-    }
-
     /// The session for a global tenant, on whichever shard admission
     /// hashed it to.
     pub fn session(&self, tenant: usize) -> &SessionHandle {
@@ -211,6 +207,19 @@ impl FleetServer {
     /// calling thread — the equivalence tests pin both ends of that
     /// spectrum and assert byte-identical outcomes.
     pub fn run_open_loop_on(&mut self, arrivals: Vec<Arrival>, workers: usize) -> Vec<JobOutcome> {
+        self.serve_on(arrivals, workers, AccelServer::run_open_loop)
+    }
+
+    /// Partitions `arrivals` by their tenant's shard (remapping to local
+    /// session indices and each shard's clock origin), runs `serve` on
+    /// every shard with work on up to `workers` threads, and reassembles
+    /// the outcomes in input order.
+    fn serve_on(
+        &mut self,
+        arrivals: Vec<Arrival>,
+        workers: usize,
+        serve: fn(&mut AccelServer, Vec<Arrival>) -> Vec<JobOutcome>,
+    ) -> Vec<JobOutcome> {
         let n = arrivals.len();
         // Partition by the tenant's shard, remapping to local session
         // indices and remembering each arrival's original slot.
@@ -236,7 +245,7 @@ impl FleetServer {
                 // A shard's telemetry tags spans with its local arrival
                 // index; remember this run's local→global remap so
                 // merged_trace() can stitch one trace-id space.
-                if shard.server.telemetry_enabled() {
+                if shard.server.telemetry_ref().is_some() {
                     shard.trace_map = idxs.clone();
                 }
                 (shard, idxs, slice)
@@ -244,7 +253,7 @@ impl FleetServer {
             .collect();
         if workers <= 1 || live.len() <= 1 {
             for (shard, idxs, slice) in live {
-                for (idx, outcome) in idxs.into_iter().zip(shard.server.run_open_loop(slice)) {
+                for (idx, outcome) in idxs.into_iter().zip(serve(&mut shard.server, slice)) {
                     outcomes[idx] = Some(outcome);
                 }
             }
@@ -275,7 +284,7 @@ impl FleetServer {
                         let results: Vec<(usize, JobOutcome)> = idxs
                             .iter()
                             .copied()
-                            .zip(shard.server.run_open_loop(slice))
+                            .zip(serve(&mut shard.server, slice))
                             .collect();
                         *slots[slot].lock().expect("fleet slot") = results;
                     });
@@ -320,7 +329,11 @@ impl FleetServer {
     }
 
     /// Runs a closed batch (every job arrives "now") across the fleet;
-    /// outcomes in job order.
+    /// outcomes in job order. Each shard serves its slice as one batch,
+    /// so under [`DispatchPolicy::LockArbitrated`](crate::DispatchPolicy::LockArbitrated)
+    /// a shard reproduces the single-client runtime's serialized
+    /// submit-then-drain sequence cycle-exactly (the Figure 6 measured
+    /// leg).
     pub fn run_batch(&mut self, jobs: Vec<(usize, JobSpec)>) -> Vec<JobOutcome> {
         let arrivals = jobs
             .into_iter()
@@ -330,7 +343,9 @@ impl FleetServer {
                 spec,
             })
             .collect();
-        self.run_open_loop(arrivals)
+        self.serve_on(arrivals, shard_count(), |server, slice| {
+            server.run_batch(slice.into_iter().map(|a| (a.tenant, a.spec)).collect())
+        })
     }
 
     /// Turns on request tracing, windowed metrics, and the flight
@@ -352,13 +367,15 @@ impl FleetServer {
             } else {
                 shard.tenants.clone()
             };
-            shard.server.enable_telemetry_labeled(cfg, labels);
+            shard.server.enable_telemetry(cfg, labels);
         }
     }
 
     /// Whether [`FleetServer::enable_telemetry`] has been called.
     pub fn telemetry_enabled(&self) -> bool {
-        self.shards.iter().any(|s| s.server.telemetry_enabled())
+        self.shards
+            .iter()
+            .any(|s| s.server.telemetry_ref().is_some())
     }
 
     /// The fleet's windowed-telemetry time-series: the cross-shard
@@ -393,7 +410,7 @@ impl FleetServer {
         let series: Vec<WindowSeries> = self
             .shards
             .iter()
-            .filter_map(|s| s.server.window_series())
+            .filter_map(|s| s.server.telemetry_ref().map(|t| t.windows.clone()))
             .collect();
         let first = series.first()?;
         let mut merged = WindowSeries::new(first.width());

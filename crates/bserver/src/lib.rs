@@ -9,10 +9,14 @@
 //! spirit of ThreadPoolComposer's thread→PE dispatcher and HEROv2's
 //! host-runtime stack.
 //!
-//! The server owns:
+//! There is one serving API, [`FleetServer`]: N independent server+SoC
+//! shards behind a deterministic admission hash. A single-SoC deployment
+//! is a 1-shard fleet. Each shard's server owns:
 //!
-//! * **per-tenant submission queues** with admission control (a bounded
-//!   queue per tenant; arrivals beyond the bound are rejected, giving
+//! * **per-tenant submission queues** with admission control (every
+//!   job's arguments are checked against the system's command spec and
+//!   malformed ones refused with [`RejectReason::BadArgs`]; a bounded
+//!   queue per tenant rejects arrivals beyond the bound, giving
 //!   open-loop clients backpressure instead of unbounded latency);
 //! * **a core-allocation dispatcher** with pluggable policies
 //!   ([`DispatchPolicy`]): the paper's lock-arbitrated baseline (so the
@@ -21,12 +25,11 @@
 //!   cost hints;
 //! * **per-command deadlines** with a `Retry`/`Reject` outcome model
 //!   ([`DeadlineAction`], [`JobOutcome`]);
-//! * **admission micro-batching** ([`BatchPolicy`]): event-driven
-//!   policies may dispatch up to `B` ready commands per lock visit
-//!   (`Fixed(n)`, or `Auto` for the windowed adaptive controller), with
-//!   responses drained in coalesced doorbell wakes; `batch = 1` is
-//!   byte-identical to the unbatched path and the lock-arbitrated
-//!   baseline ignores the setting entirely;
+//! * **one batched dispatcher** for the event-driven policies: each lock
+//!   visit submits up to `B` ready commands ([`BatchPolicy`]: `Fixed(n)`,
+//!   default 1, or `Auto` for the windowed adaptive controller), with
+//!   responses drained in coalesced doorbell wakes; the lock-arbitrated
+//!   baseline keeps its verbatim per-command path and ignores the width;
 //! * **observability**: a `server/` [`bsim::perf`] counter set
 //!   (`queue_depth`, `lock_wait_cycles`, `rejected`, …) and per-tenant
 //!   latency histograms, visible through the MMIO counter window,
@@ -35,8 +38,7 @@
 //!   spans per job (admission → tenant queue → core, exported as one
 //!   merged Perfetto trace with flow arrows via
 //!   [`FleetServer::merged_trace`]), tumbling-window goodput and
-//!   latency/queue-wait percentiles
-//!   ([`AccelServer::metrics_snapshot`], [`FleetServer::metrics_snapshot`]),
+//!   latency/queue-wait percentiles ([`FleetServer::metrics_snapshot`]),
 //!   and a per-shard flight recorder whose watchdog dumps the last N
 //!   structured events when forward progress stalls or
 //!   rejections/deadline breaches spike ([`WatchdogConfig`]). Telemetry
@@ -51,20 +53,17 @@
 //! open-loop load harness lives in `bbench::loadgen`
 //! (`cargo run -p bbench --bin loadgen`).
 //!
-//! Above the single server sits the **sharded fleet** ([`FleetServer`]):
-//! N independent server+SoC replicas with tenants partitioned by a
-//! stable admission hash ([`shard_for_session`]). Shards are `Send`
-//! (the `bsim` arena refactor makes a built `Simulation` movable), so
-//! the fleet drives them on scoped worker threads — `BSERVER_SHARDS`
-//! caps that execution width without ever changing results, a 1-shard
-//! fleet is byte-identical to driving [`AccelServer`] directly, and
-//! per-shard counters roll up into the primary registry
-//! ([`FleetServer::sync_rollup`]).
-//!
-//! The network front-end (`bnet`) submits through the keyed entry
-//! points ([`AccelServer::run_keyed`], [`FleetServer::run_keyed`]):
-//! the same open-loop machinery, with outcomes keyed by
-//! `(tenant, seq)` so a wire client's submission order and its
+//! The fleet partitions tenants by a stable admission hash
+//! ([`shard_for_session`]). Shards are `Send` (the `bsim` arena refactor
+//! makes a built `Simulation` movable), so the fleet drives them on
+//! scoped worker threads — `BSERVER_SHARDS` caps that execution width
+//! without ever changing results — and per-shard counters roll up into
+//! the primary registry ([`FleetServer::sync_rollup`]). Its entry points
+//! are [`FleetServer::run_open_loop`] (a timed arrival schedule),
+//! [`FleetServer::run_batch`] (a closed batch — the Figure 6 measured
+//! leg), and [`FleetServer::run_keyed`], which the network front-end
+//! (`bnet`) submits through: the same open-loop machinery, with outcomes
+//! keyed by `(tenant, seq)` so a wire client's submission order and its
 //! outcome delivery order are decoupled from dispatch order.
 
 #![warn(missing_docs)]
@@ -79,7 +78,6 @@ pub use batch::BatchPolicy;
 pub use fleet::{shard_count, shard_for_session, FleetConfig, FleetMetrics, FleetServer};
 pub use policy::DispatchPolicy;
 pub use server::{
-    AccelServer, Arrival, DeadlineAction, JobOutcome, JobSpec, RejectReason, ServerConfig,
-    ServerError,
+    Arrival, DeadlineAction, JobOutcome, JobSpec, RejectReason, ServerConfig, ServerError,
 };
 pub use telemetry::{MetricsSnapshot, ServerEvent, TelemetryConfig, WatchdogConfig, WindowRow};

@@ -5,12 +5,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bcore::AccelCommandSpec;
 use bruntime::{FpgaHandle, ResponseHandle, SessionHandle};
-use bsim::{Cycle, SpanEvent, Stats};
+use bsim::{Cycle, Stats};
 
 use crate::batch::{AutoBatcher, BatchPolicy};
 use crate::policy::DispatchPolicy;
-use crate::telemetry::{MetricsSnapshot, Telemetry, TelemetryConfig};
+use crate::telemetry::{Telemetry, TelemetryConfig};
 
 /// A command the server accepts from a tenant.
 #[derive(Debug, Clone)]
@@ -48,7 +49,7 @@ impl JobSpec {
     }
 }
 
-/// One scheduled submission for [`AccelServer::run_open_loop`].
+/// One scheduled submission for [`FleetServer::run_open_loop`](crate::FleetServer::run_open_loop).
 #[derive(Debug, Clone)]
 pub struct Arrival {
     /// Fabric cycle at which the tenant submits the job.
@@ -67,6 +68,10 @@ pub enum RejectReason {
     /// The job's queue-wait deadline expired (and retries, if any, were
     /// exhausted).
     DeadlineExpired,
+    /// The job's arguments do not match the system's command spec
+    /// (unknown or missing field, or a value wider than its field). The
+    /// job is refused at admission and never reaches a core.
+    BadArgs,
 }
 
 /// What happened to a submitted job.
@@ -141,8 +146,9 @@ pub struct ServerConfig {
     pub response_budget_cycles: Cycle,
     /// Admission micro-batching for the event policies: how many ready
     /// commands one dispatcher visit may submit under a single lock
-    /// acquisition. Ignored by [`DispatchPolicy::LockArbitrated`] (the
-    /// baseline models the paper's per-command server verbatim).
+    /// acquisition (default `Fixed(1)`). Ignored by
+    /// [`DispatchPolicy::LockArbitrated`] (the baseline models the
+    /// paper's per-command server verbatim).
     pub batch: BatchPolicy,
 }
 
@@ -153,12 +159,12 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             deadline_action: DeadlineAction::Reject,
             response_budget_cycles: 2_000_000_000,
-            batch: BatchPolicy::Unbatched,
+            batch: BatchPolicy::Fixed(1),
         }
     }
 }
 
-/// Errors constructing an [`AccelServer`].
+/// Errors constructing a [`FleetServer`](crate::FleetServer).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerError {
     /// No system with that name exists on the device.
@@ -204,19 +210,22 @@ struct InFlight {
     retries: u32,
 }
 
-/// The multi-tenant runtime server over one [`bcore::SocSim`].
+/// The multi-tenant runtime server over one [`bcore::SocSim`]: one
+/// shard of a [`FleetServer`](crate::FleetServer).
 ///
 /// One server arbitrates one accelerator system's cores between
 /// `n_tenants` client sessions. Jobs flow: admission → per-tenant queue →
 /// dispatcher (policy) → core command FIFO → completion harvest →
 /// [`JobOutcome`]. All host-side costs advance the shared simulated
 /// clock; nothing here consumes wall-clock time.
-pub struct AccelServer {
+pub(crate) struct AccelServer {
     handle: FpgaHandle,
     sessions: Vec<SessionHandle>,
     system: String,
     sys_id: u16,
     n_cores: u16,
+    /// The system's command spec; admission checks every job against it.
+    command_spec: AccelCommandSpec,
     config: ServerConfig,
     queues: Vec<VecDeque<Queued>>,
     /// Per-core FIFOs of dispatched jobs (responses return in order).
@@ -226,7 +235,7 @@ pub struct AccelServer {
     /// without rescanning every core's state on every visit.
     idle_cores: BTreeSet<u16>,
     /// The adaptive batch-width controller (consulted only under
-    /// [`BatchPolicy::Auto`]).
+    /// `BatchPolicy::Auto`).
     auto: AutoBatcher,
     /// Round-robin tenant cursor.
     rr_cursor: usize,
@@ -256,7 +265,7 @@ impl AccelServer {
     /// # Errors
     ///
     /// [`ServerError::UnknownSystem`] or [`ServerError::NoTenants`].
-    pub fn new(
+    pub(crate) fn new(
         handle: &FpgaHandle,
         system: &str,
         n_tenants: usize,
@@ -265,8 +274,11 @@ impl AccelServer {
         if n_tenants == 0 {
             return Err(ServerError::NoTenants);
         }
-        let (sys_id, n_cores) = handle
-            .with_soc(|soc| soc.system_id(system).map(|id| (id, soc.cores_in(id))))
+        let (sys_id, n_cores, command_spec) = handle
+            .with_soc(|soc| {
+                let id = soc.system_id(system)?;
+                Some((id, soc.cores_in(id), soc.command_spec(id)?.clone()))
+            })
             .ok_or_else(|| ServerError::UnknownSystem(system.to_owned()))?;
         assert!(n_cores > 0, "system '{system}' has no cores");
         let sessions = (0..n_tenants).map(|_| handle.open_session()).collect();
@@ -290,6 +302,7 @@ impl AccelServer {
             system: system.to_owned(),
             sys_id,
             n_cores,
+            command_spec,
             config,
             queues: (0..n_tenants).map(|_| VecDeque::new()).collect(),
             inflight: (0..n_cores as usize).map(|_| VecDeque::new()).collect(),
@@ -305,48 +318,17 @@ impl AccelServer {
     }
 
     /// Turns on request tracing, windowed metrics, and the flight
-    /// recorder. Telemetry observes cycles the server already paid for
-    /// and never advances the clock: enabling it cannot change cycle
-    /// counts, outcomes, or any existing counter (pinned by the
-    /// invariance tests).
-    pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
-        let labels = (0..self.sessions.len()).collect();
-        self.enable_telemetry_labeled(config, labels);
-    }
-
-    /// Fleet entry point: like [`enable_telemetry`](Self::enable_telemetry)
-    /// but tagging local tenant `i` with global id `labels[i]` in spans,
-    /// windows, and flight events.
-    pub(crate) fn enable_telemetry_labeled(&mut self, config: TelemetryConfig, labels: Vec<usize>) {
+    /// recorder, tagging local tenant `i` with global id `labels[i]` in
+    /// spans, windows, and flight events. Telemetry observes cycles the
+    /// server already paid for and never advances the clock: enabling it
+    /// cannot change cycle counts, outcomes, or any existing counter
+    /// (pinned by the invariance tests).
+    pub(crate) fn enable_telemetry(&mut self, config: TelemetryConfig, labels: Vec<usize>) {
         self.telemetry = Some(Telemetry::new(config, labels, self.handle.now()));
     }
 
-    /// Whether telemetry is on.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
-    }
-
-    /// The windowed-telemetry time-series, if telemetry is enabled.
-    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.telemetry
-            .as_ref()
-            .map(|t| MetricsSnapshot::from_series(&t.windows))
-    }
-
-    /// All recorded request spans, if telemetry is enabled.
-    pub fn spans(&self) -> Option<Vec<SpanEvent>> {
-        self.telemetry.as_ref().map(|t| t.spans.events())
-    }
-
-    /// A clone of the raw window series (for reconciling windowed
-    /// percentiles against whole-run histograms), if telemetry is
-    /// enabled.
-    pub fn window_series(&self) -> Option<bsim::WindowSeries> {
-        self.telemetry.as_ref().map(|t| t.windows.clone())
-    }
-
     /// Flight-recorder dump files the watchdog has written.
-    pub fn flight_dumps(&self) -> Vec<PathBuf> {
+    pub(crate) fn flight_dumps(&self) -> Vec<PathBuf> {
         self.telemetry
             .as_ref()
             .map(|t| t.dumps().to_vec())
@@ -359,25 +341,14 @@ impl AccelServer {
         self.telemetry.as_ref()
     }
 
-    /// The shared handle the server drives.
-    pub fn handle(&self) -> &FpgaHandle {
-        &self.handle
-    }
-
     /// The per-tenant client sessions.
-    pub fn sessions(&self) -> &[SessionHandle] {
+    pub(crate) fn sessions(&self) -> &[SessionHandle] {
         &self.sessions
     }
 
     /// Number of cores the dispatcher allocates over.
-    pub fn n_cores(&self) -> u16 {
+    pub(crate) fn n_cores(&self) -> u16 {
         self.n_cores
-    }
-
-    /// The server's counter/histogram bag (also reachable through the
-    /// SoC perf registry under `server/`).
-    pub fn stats(&self) -> Stats {
-        self.stats.clone()
     }
 
     /// Runs a closed batch: every job arrives "now", submitted in order.
@@ -386,7 +357,7 @@ impl AccelServer {
     /// runtime's serialized submit-then-drain sequence cycle-exactly.
     ///
     /// Returns outcomes in job order.
-    pub fn run_batch(&mut self, jobs: Vec<(usize, JobSpec)>) -> Vec<JobOutcome> {
+    pub(crate) fn run_batch(&mut self, jobs: Vec<(usize, JobSpec)>) -> Vec<JobOutcome> {
         if self.config.policy == DispatchPolicy::LockArbitrated {
             return self.run_batch_lock_arbitrated(jobs);
         }
@@ -410,26 +381,38 @@ impl AccelServer {
     /// Figure 6 implementation cycle for cycle.
     fn run_batch_lock_arbitrated(&mut self, jobs: Vec<(usize, JobSpec)>) -> Vec<JobOutcome> {
         let t0 = self.handle.now();
+        let mut outcomes: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
         let mut pending = Vec::with_capacity(jobs.len());
-        for (tenant, spec) in jobs {
+        for (idx, (tenant, spec)) in jobs.into_iter().enumerate() {
+            if self.command_spec.check_args(&spec.args).is_err() {
+                // Refused before it takes a sequence number, so the
+                // remaining jobs bind to the cores they would have
+                // without it.
+                self.stats.incr("rejected");
+                outcomes[idx] = Some(JobOutcome::Rejected {
+                    reason: RejectReason::BadArgs,
+                    retries: 0,
+                    queue_wait_cycles: 0,
+                });
+                continue;
+            }
             let core = (self.next_seq % u64::from(self.n_cores)) as u16;
             self.next_seq += 1;
             let before = self.handle.now();
             let resp = self.sessions[tenant]
                 .call(&self.system, core, spec.args)
-                .expect("job arguments must match the system's command spec");
+                .expect("admission checked the job's arguments");
             self.stats
                 .add("lock_wait_cycles", self.handle.now().saturating_sub(before));
             self.stats.incr("dispatched");
-            pending.push((tenant, core, resp));
+            pending.push((idx, tenant, core, resp));
         }
-        let mut outcomes = Vec::with_capacity(pending.len());
-        for (tenant, core, resp) in pending {
+        for (idx, tenant, core, resp) in pending {
             let value = resp.get().expect("batch job completes");
             let now = self.handle.now();
             let latency = now.saturating_sub(t0);
             self.record_completion(tenant, latency);
-            outcomes.push(JobOutcome::Completed {
+            outcomes[idx] = Some(JobOutcome::Completed {
                 value,
                 latency_cycles: latency,
                 queue_wait_cycles: 0,
@@ -438,33 +421,9 @@ impl AccelServer {
             });
         }
         outcomes
-    }
-
-    /// [`AccelServer::run_open_loop`] with client-chosen sequence
-    /// numbers: each arrival arrives as `(seq, arrival)` and the
-    /// outcomes come back keyed by `(tenant, seq)` — the network
-    /// front-end's outcome keying, where wire submission order and
-    /// per-connection delivery order are decoupled from dispatch
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// If two arrivals share a `(tenant, seq)` key; the wire protocol
-    /// refuses duplicates (`ERR{DuplicateSeq}`) before they get here.
-    pub fn run_keyed(
-        &mut self,
-        arrivals: Vec<(u64, Arrival)>,
-    ) -> BTreeMap<(usize, u64), JobOutcome> {
-        let keys: Vec<(usize, u64)> = arrivals.iter().map(|(seq, a)| (a.tenant, *seq)).collect();
-        let outcomes = self.run_open_loop(arrivals.into_iter().map(|(_, a)| a).collect());
-        let mut keyed = BTreeMap::new();
-        for (key, outcome) in keys.into_iter().zip(outcomes) {
-            assert!(
-                keyed.insert(key, outcome).is_none(),
-                "duplicate (tenant, seq) key {key:?}"
-            );
-        }
-        keyed
+            .into_iter()
+            .map(|o| o.expect("every job resolves to an outcome"))
+            .collect()
     }
 
     /// Serves an open-loop arrival schedule to completion and returns one
@@ -474,7 +433,7 @@ impl AccelServer {
     /// admission — if the server is busy when a job's cycle passes, the
     /// job is ingested late but its latency still counts from the
     /// scheduled arrival (open-loop semantics).
-    pub fn run_open_loop(&mut self, arrivals: Vec<Arrival>) -> Vec<JobOutcome> {
+    pub(crate) fn run_open_loop(&mut self, arrivals: Vec<Arrival>) -> Vec<JobOutcome> {
         let mut order: Vec<usize> = (0..arrivals.len()).collect();
         order.sort_by_key(|&i| arrivals[i].at_cycle);
         let mut outcomes: Vec<Option<JobOutcome>> = vec![None; arrivals.len()];
@@ -488,10 +447,6 @@ impl AccelServer {
         // The baseline's pending response-poll tick, if armed.
         let mut next_poll: Option<Cycle> = None;
         let baseline = self.config.policy == DispatchPolicy::LockArbitrated;
-        // Event policies route through the batched dispatcher unless the
-        // config says otherwise; the baseline always takes its verbatim
-        // per-command path.
-        let batched = !baseline && self.config.batch != BatchPolicy::Unbatched;
         // Set after a doorbell sleep observes a completion; the harvest
         // that follows tells us how many responses that one wake
         // serviced (doorbell coalescing).
@@ -529,11 +484,13 @@ impl AccelServer {
                 }
             }
             // 3. Dispatch if the policy allows; time moves under us
-            //    (lock + MMIO), so loop back to re-ingest.
-            let moved = if batched {
-                self.dispatch_batch(&mut outcomes)
+            //    (lock + MMIO), so loop back to re-ingest. The baseline
+            //    takes its verbatim per-command path; every event policy
+            //    dispatches in batches of up to `B` (1 by default).
+            let moved = if baseline {
+                self.dispatch_baseline(&mut outcomes)
             } else {
-                self.dispatch_one(&mut outcomes)
+                self.dispatch_batch(&mut outcomes)
             };
             if moved {
                 continue;
@@ -591,7 +548,7 @@ impl AccelServer {
             } else if let Some(t) = next_arrival {
                 self.handle.run_for(t.saturating_sub(now));
             } else {
-                // No work in flight, nothing queued (dispatch_one returned
+                // No work in flight, nothing queued (dispatch returned
                 // false with idle cores ⇒ queues are drained), no arrivals
                 // left: done.
                 break;
@@ -603,30 +560,23 @@ impl AccelServer {
             .collect()
     }
 
-    /// Admission control: bounded per-tenant queues.
+    /// Admission control: arguments checked against the command spec,
+    /// then bounded per-tenant queues.
     fn admit(&mut self, idx: usize, a: &Arrival, outcomes: &mut [Option<JobOutcome>]) {
         assert!(a.tenant < self.queues.len(), "tenant index out of range");
-        let now = self.handle.now();
+        if self.command_spec.check_args(&a.spec.args).is_err() {
+            // Refused before it takes a sequence number, so every other
+            // job is scheduled exactly as if this one never came.
+            self.reject_at_admission(idx, a, RejectReason::BadArgs, outcomes);
+            return;
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.queues[a.tenant].len() >= self.config.queue_capacity {
-            let waited = now.saturating_sub(a.at_cycle);
-            self.stats.incr("rejected");
-            // Rejections count toward queue-wait like everything else:
-            // the tail of this histogram must include the jobs that
-            // waited and lost.
-            self.stats.record("queue_wait_cycles", waited);
-            if let Some(t) = self.telemetry.as_mut() {
-                t.on_admission_reject(now, a.at_cycle, idx as u64, a.tenant);
-            }
-            self.spike_poll();
-            outcomes[idx] = Some(JobOutcome::Rejected {
-                reason: RejectReason::AdmissionFull,
-                retries: 0,
-                queue_wait_cycles: waited,
-            });
+            self.reject_at_admission(idx, a, RejectReason::AdmissionFull, outcomes);
             return;
         }
+        let now = self.handle.now();
         self.queues[a.tenant].push_back(Queued {
             idx,
             tenant: a.tenant,
@@ -641,6 +591,31 @@ impl AccelServer {
             let depth = self.depth.load(Ordering::Relaxed);
             t.on_admit(now, a.at_cycle, idx as u64, a.tenant, depth);
         }
+    }
+
+    fn reject_at_admission(
+        &mut self,
+        idx: usize,
+        a: &Arrival,
+        reason: RejectReason,
+        outcomes: &mut [Option<JobOutcome>],
+    ) {
+        let now = self.handle.now();
+        let waited = now.saturating_sub(a.at_cycle);
+        self.stats.incr("rejected");
+        // Rejections count toward queue-wait like everything else: the
+        // tail of this histogram must include the jobs that waited and
+        // lost.
+        self.stats.record("queue_wait_cycles", waited);
+        if let Some(t) = self.telemetry.as_mut() {
+            t.on_admission_reject(now, a.at_cycle, idx as u64, a.tenant);
+        }
+        self.spike_poll();
+        outcomes[idx] = Some(JobOutcome::Rejected {
+            reason,
+            retries: 0,
+            queue_wait_cycles: waited,
+        });
     }
 
     fn bump_depth(&self) {
@@ -737,179 +712,158 @@ impl AccelServer {
         }
     }
 
-    /// Dispatches at most one job. Returns whether anything moved.
-    fn dispatch_one(&mut self, outcomes: &mut [Option<JobOutcome>]) -> bool {
-        let core = if self.config.policy == DispatchPolicy::LockArbitrated {
-            // The baseline binds by submission order, blind to core state
-            // (a full command FIFO is discovered by spinning inside the
-            // lock, never avoided).
-            None
-        } else {
-            // Depth-aware placement: only idle cores with command-queue
-            // space, lowest index first. The idle-core cache makes this
-            // O(idle) instead of a scan over every core.
-            let found = self.idle_cores.iter().copied().find(|&c| {
-                self.handle
-                    .with_soc(|soc| soc.cmd_queue_free(self.sys_id, c))
-                    .unwrap_or(0)
-                    > 0
-            });
-            match found {
-                Some(c) => Some(c),
-                None => return false,
-            }
-        };
+    /// The lock-arbitrated baseline's dispatcher: at most one job per
+    /// visit, bound to core `seq % n_cores` blind to core state (a full
+    /// command FIFO is discovered by spinning inside the lock, never
+    /// avoided). Returns whether anything moved.
+    fn dispatch_baseline(&mut self, outcomes: &mut [Option<JobOutcome>]) -> bool {
         let Some(job) = self.pick(outcomes) else {
             return false;
         };
-        let core = core.unwrap_or((job.seq % u64::from(self.n_cores)) as u16);
+        let core = (job.seq % u64::from(self.n_cores)) as u16;
         let before = self.handle.now();
-        if self.config.policy == DispatchPolicy::LockArbitrated {
-            // The serialized server spins on the chosen core's status
-            // register while its response thread keeps draining
-            // completions — without the drain, a core whose (bounded)
-            // response channel fills can never retire a command and the
-            // spin would wedge forever.
-            let poll_ns = self.handle.options().poll_interval_ns.max(1);
-            while self
-                .handle
-                .with_soc(|soc| soc.cmd_queue_free(self.sys_id, core))
-                .unwrap_or(1)
-                == 0
+        // The serialized server spins on the chosen core's status
+        // register while its response thread keeps draining completions
+        // — without the drain, a core whose (bounded) response channel
+        // fills can never retire a command and the spin would wedge
+        // forever.
+        let poll_ns = self.handle.options().poll_interval_ns.max(1);
+        while self.cmd_queue_free(core) == Some(0) {
+            self.handle.advance_ns(poll_ns);
+            self.harvest(outcomes);
+            // A wedged core turns this spin into the livelock the flight
+            // recorder exists for: dump, then die loudly.
+            if self
+                .telemetry
+                .as_ref()
+                .is_some_and(|t| t.stalled(self.handle.now()))
             {
-                self.handle.advance_ns(poll_ns);
-                self.harvest(outcomes);
-                // A wedged core turns this spin into the livelock the
-                // flight recorder exists for: dump, then die loudly.
-                if self
-                    .telemetry
-                    .as_ref()
-                    .is_some_and(|t| t.stalled(self.handle.now()))
-                {
-                    self.watchdog_poll();
-                    panic!("device wedged: command queue never drained (flight recorder dumped)");
-                }
+                self.watchdog_poll();
+                panic!("device wedged: command queue never drained (flight recorder dumped)");
             }
         }
-        let resp = self.sessions[job.tenant]
-            .call(&self.system, core, job.spec.args.clone())
-            .expect("job arguments must match the system's command spec");
+        let Queued {
+            idx,
+            tenant,
+            spec,
+            first_arrival_cycle,
+            retries,
+            ..
+        } = job;
+        let resp = self.sessions[tenant]
+            .call(&self.system, core, spec.args)
+            .expect("admission checked the job's arguments");
         let now = self.handle.now();
         self.stats
             .add("lock_wait_cycles", now.saturating_sub(before));
         self.stats.incr("dispatched");
-        self.stats.record(
-            "queue_wait_cycles",
-            now.saturating_sub(job.first_arrival_cycle),
-        );
+        self.stats
+            .record("queue_wait_cycles", now.saturating_sub(first_arrival_cycle));
         if let Some(t) = self.telemetry.as_mut() {
-            t.on_dispatch(
-                now,
-                job.first_arrival_cycle,
-                job.idx as u64,
-                job.tenant,
-                core,
-            );
+            t.on_dispatch(now, first_arrival_cycle, idx as u64, tenant, core);
         }
         self.inflight[core as usize].push_back(InFlight {
-            idx: job.idx,
-            tenant: job.tenant,
+            idx,
+            tenant,
             resp,
-            first_arrival_cycle: job.first_arrival_cycle,
+            first_arrival_cycle,
             dispatch_cycle: now,
-            retries: job.retries,
+            retries,
         });
         self.idle_cores.remove(&core);
         true
     }
 
-    /// Dispatches up to `B` ready jobs under a single lock acquisition
-    /// (admission micro-batching). Returns whether anything moved.
+    /// The event policies' dispatcher: up to `B` ready jobs under a
+    /// single lock acquisition (admission micro-batching; `B = 1` by
+    /// default). Returns whether anything moved.
     ///
-    /// Core selection: the batch's *first* job follows exactly the
-    /// unbatched rule — an idle core with command-FIFO space, lowest
-    /// index first; no such core, no batch. Later jobs may also prime
-    /// *busy* cores' command FIFOs (least-loaded first, counting slots
-    /// already claimed this batch), which is where the throughput win
-    /// comes from: a core finishing its current job finds the next one
-    /// already in its FIFO instead of idling through the server's next
-    /// lock/MMIO/wake round trip.
+    /// Core selection: the batch's *first* job goes to an idle core with
+    /// command-FIFO space, lowest index first; no such core, no batch.
+    /// Later jobs may also prime *busy* cores' command FIFOs
+    /// (least-loaded first, counting slots already claimed this batch),
+    /// which is where the throughput win comes from: a core finishing
+    /// its current job finds the next one already in its FIFO instead of
+    /// idling through the server's next lock/MMIO/wake round trip.
     ///
     /// The batch width is bounded by the tightest queued deadline: a
     /// batch of `k` holds the lock for `lock + k·mmio` cycles, so `B` is
     /// clamped to what the most urgent waiting job can absorb.
+    ///
+    /// A width-1 visit does only what placing one job needs: it probes
+    /// idle cores until one has FIFO space and never computes the
+    /// deadline bound or the other cores' load.
     fn dispatch_batch(&mut self, outcomes: &mut [Option<JobOutcome>]) -> bool {
+        let auto = self.config.batch == BatchPolicy::Auto;
         let b_max = match self.config.batch {
-            BatchPolicy::Unbatched => 1,
             BatchPolicy::Fixed(n) => n.max(1),
             BatchPolicy::Auto => self.auto.current(),
         };
-        let now = self.handle.now();
-        let b_eff = self.deadline_slack_bound(now, b_max);
-        // Command-FIFO slots still unclaimed, and each core's load
-        // (in-flight + claimed this batch) for least-loaded placement.
-        let mut free: Vec<usize> = (0..self.n_cores)
-            .map(|c| {
-                self.handle
-                    .with_soc(|soc| soc.cmd_queue_free(self.sys_id, c))
-                    .unwrap_or(0)
-            })
-            .collect();
-        let mut load: Vec<usize> = self.inflight.iter().map(VecDeque::len).collect();
-        let mut batch: Vec<(u16, Queued)> = Vec::new();
-        while batch.len() < b_eff {
-            let core = if batch.is_empty() {
-                // First item: the unbatched placement rule, verbatim.
-                match self
-                    .idle_cores
-                    .iter()
-                    .copied()
-                    .find(|&c| free[c as usize] > 0)
-                {
-                    Some(c) => c,
-                    None => return false,
-                }
-            } else {
-                // Top-up items: least-loaded core with remaining FIFO
-                // space, ties to the lowest index.
-                match (0..self.n_cores)
+        let b_eff = if b_max > 1 {
+            self.deadline_slack_bound(self.handle.now(), b_max)
+        } else {
+            1
+        };
+        let Some(first) = self
+            .idle_cores
+            .iter()
+            .copied()
+            .find(|&c| self.cmd_queue_free(c).unwrap_or(0) > 0)
+        else {
+            return false;
+        };
+        let Some(job) = self.pick(outcomes) else {
+            return false;
+        };
+        let mut batch: Vec<(u16, Queued)> = vec![(first, job)];
+        if b_eff > 1 {
+            // Top-up items: least-loaded core with command-FIFO slots
+            // still unclaimed, ties to the lowest index; load counts
+            // in-flight jobs plus slots claimed this batch.
+            let mut free: Vec<usize> = (0..self.n_cores)
+                .map(|c| self.cmd_queue_free(c).unwrap_or(0))
+                .collect();
+            let mut load: Vec<usize> = self.inflight.iter().map(VecDeque::len).collect();
+            free[first as usize] -= 1;
+            load[first as usize] += 1;
+            while batch.len() < b_eff {
+                let Some(core) = (0..self.n_cores)
                     .filter(|&c| free[c as usize] > 0)
                     .min_by_key(|&c| (load[c as usize], c))
-                {
-                    Some(c) => c,
-                    None => break,
-                }
-            };
-            let Some(job) = self.pick(outcomes) else {
-                break;
-            };
-            free[core as usize] -= 1;
-            load[core as usize] += 1;
-            batch.push((core, job));
-        }
-        if batch.is_empty() {
-            return false;
+                else {
+                    break;
+                };
+                let Some(job) = self.pick(outcomes) else {
+                    break;
+                };
+                free[core as usize] -= 1;
+                load[core as usize] += 1;
+                batch.push((core, job));
+            }
         }
         let items: Vec<(u16, BTreeMap<String, u64>)> = batch
-            .iter()
-            .map(|(core, job)| (*core, job.spec.args.clone()))
+            .iter_mut()
+            .map(|(core, job)| (*core, std::mem::take(&mut job.spec.args)))
             .collect();
         let before = self.handle.now();
         let sent = self
             .handle
             .call_batch(&self.system, &items)
-            .expect("job arguments must match the system's command spec");
+            .expect("admission checked every job's arguments");
         let after = self.handle.now();
         self.stats
             .add("lock_wait_cycles", after.saturating_sub(before));
-        self.stats.record("batch_occupancy", batch.len() as u64);
-        let mut waits = Vec::with_capacity(batch.len());
+        let n = batch.len();
+        self.stats.record("batch_occupancy", n as u64);
+        let mut waits = Vec::new();
         for ((core, job), (resp, at)) in batch.into_iter().zip(sent) {
             self.sessions[job.tenant].note_commands(1);
             self.stats.incr("dispatched");
             let wait = at.saturating_sub(job.first_arrival_cycle);
             self.stats.record("queue_wait_cycles", wait);
-            waits.push(wait);
+            if auto {
+                waits.push(wait);
+            }
             if let Some(t) = self.telemetry.as_mut() {
                 t.on_dispatch(
                     at,
@@ -930,13 +884,20 @@ impl AccelServer {
             self.idle_cores.remove(&core);
         }
         if let Some(t) = self.telemetry.as_mut() {
-            t.on_dispatch_batch(after, waits.len() as u64);
+            t.on_dispatch_batch(after, n as u64);
         }
-        if self.config.batch == BatchPolicy::Auto {
+        if auto {
             let depth = self.depth.load(Ordering::Relaxed);
             self.auto.observe(after, depth, &waits);
         }
         true
+    }
+
+    /// Free slots in `core`'s command FIFO (`None` if the core does not
+    /// exist).
+    fn cmd_queue_free(&self, core: u16) -> Option<usize> {
+        self.handle
+            .with_soc(|soc| soc.cmd_queue_free(self.sys_id, core))
     }
 
     /// How many commands the tightest queued deadline can absorb in one
@@ -1067,17 +1028,6 @@ impl AccelServer {
     }
 }
 
-impl std::fmt::Debug for AccelServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AccelServer")
-            .field("system", &self.system)
-            .field("policy", &self.config.policy)
-            .field("tenants", &self.sessions.len())
-            .field("cores", &self.n_cores)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1137,7 +1087,7 @@ mod tests {
             for o in &outcomes {
                 assert!(o.is_completed(), "{policy}: {o:?}");
             }
-            assert_eq!(server.stats().get("completed"), 3, "{policy}");
+            assert_eq!(server.stats.get("completed"), 3, "{policy}");
         }
     }
 
@@ -1175,9 +1125,9 @@ mod tests {
         // Core takes job 0; jobs fill the 2-deep queue; the rest of the
         // burst (arriving while the queue is full) bounces.
         assert!(rejected > 0, "burst beyond capacity must reject");
-        assert_eq!(server.stats().get("rejected"), rejected as u64);
+        assert_eq!(server.stats.get("rejected"), rejected as u64);
         assert_eq!(
-            server.stats().get("completed") as usize,
+            server.stats.get("completed") as usize,
             outcomes.len() - rejected
         );
         // The peak depth provider must have seen the bound, never more.
@@ -1345,7 +1295,7 @@ mod tests {
             "rejection reports the wait that breached the 10-cycle deadline \
              (waited {queue_wait_cycles})"
         );
-        assert_eq!(server.stats().get("rejected"), 1);
+        assert_eq!(server.stats.get("rejected"), 1);
     }
 
     #[test]
@@ -1379,7 +1329,7 @@ mod tests {
             }
             other => panic!("retry budget of 50 should suffice: {other:?}"),
         }
-        assert!(server.stats().get("retried") > 0);
+        assert!(server.stats.get("retried") > 0);
 
         // With a tiny retry budget and competing traffic the retried job
         // lands behind the competitor (retry re-enqueues at the tail), its
@@ -1536,5 +1486,74 @@ mod tests {
             (format!("{outcomes:?}"), handle.now())
         };
         assert_eq!(run(), run(), "same schedule, same cycles, same outcomes");
+    }
+
+    #[test]
+    fn spans_cover_admission_queue_and_core_for_one_job() {
+        let (handle, mut server, mem) = setup(1, 1, ServerConfig::default());
+        server.enable_telemetry(TelemetryConfig::default(), vec![0]);
+        let t0 = handle.now();
+        let outcomes = server.run_open_loop(vec![Arrival {
+            at_cycle: t0,
+            tenant: 0,
+            spec: job(mem, 64),
+        }]);
+        assert!(outcomes[0].is_completed());
+        let spans = server.telemetry_ref().expect("telemetry on").spans.events();
+        let stages: Vec<(&str, &str)> = spans
+            .iter()
+            .filter(|s| s.trace_id == 0)
+            .map(|s| (s.track.as_str(), s.name.as_str()))
+            .collect();
+        assert!(
+            stages.contains(&("admission", "admit")),
+            "admission span missing: {stages:?}"
+        );
+        assert!(
+            stages.contains(&("tenant0", "queue")),
+            "queue span missing: {stages:?}"
+        );
+        assert!(
+            stages.contains(&("core0", "execute")),
+            "execute span missing: {stages:?}"
+        );
+        // The lifecycle is ordered: admit ends before queue ends before
+        // execute ends, and the execute span covers real cycles.
+        let find = |name: &str| spans.iter().find(|s| s.name == name).unwrap();
+        assert!(find("admit").end <= find("queue").end);
+        assert!(find("queue").end <= find("execute").start);
+        assert!(find("execute").end > find("execute").start);
+    }
+
+    #[test]
+    fn lock_arbitrated_batch_refuses_bad_args_without_shifting_core_binding() {
+        // The baseline's closed-batch path checks arguments too: the bad
+        // job is refused, and the jobs after it keep the `seq % n_cores`
+        // binding they would have had without it.
+        let config = ServerConfig {
+            policy: DispatchPolicy::LockArbitrated,
+            ..ServerConfig::default()
+        };
+        let run = |with_bad: bool| {
+            let (_handle, mut server, mem) = setup(2, 1, config);
+            let mut jobs: Vec<(usize, JobSpec)> = (0..4).map(|_| (0, job(mem, 64))).collect();
+            if with_bad {
+                jobs.insert(1, (0, job(mem, u32::MAX)));
+            }
+            let outcomes = server.run_batch(jobs);
+            (outcomes, server.stats.get("rejected"))
+        };
+        let (clean, clean_rejected) = run(false);
+        let (mut mixed, mixed_rejected) = run(true);
+        assert_eq!(
+            mixed.remove(1),
+            JobOutcome::Rejected {
+                reason: RejectReason::BadArgs,
+                retries: 0,
+                queue_wait_cycles: 0,
+            }
+        );
+        assert_eq!(mixed, clean, "the other jobs' outcomes are unchanged");
+        assert_eq!((clean_rejected, mixed_rejected), (0, 1));
     }
 }

@@ -5,9 +5,8 @@
 //! the simulated path: telemetry observes cycles the server already paid
 //! for and never advances the clock, so enabling it cannot change cycle
 //! counts or outcomes (the invariance tests pin this). When disabled
-//! ([`AccelServer`](crate::AccelServer) without
-//! [`enable_telemetry`](crate::AccelServer::enable_telemetry)) the hot
-//! path pays one `Option` check per event.
+//! (no [`enable_telemetry`](crate::FleetServer::enable_telemetry) call)
+//! the hot path pays one `Option` check per event.
 //!
 //! The three surfaces:
 //!
@@ -18,7 +17,7 @@
 //! * **Windows** ([`bsim::WindowSeries`]): per-N-cycle goodput,
 //!   rejections, breaches, queue-depth high-water, and queue-wait/latency
 //!   percentiles, snapshot via
-//!   [`metrics_snapshot`](crate::AccelServer::metrics_snapshot).
+//!   [`metrics_snapshot`](crate::FleetServer::metrics_snapshot).
 //! * **Flight recorder + watchdog** ([`bsim::FlightRecorder`]): a bounded
 //!   ring of recent [`ServerEvent`]s, dumped to a JSON file when the
 //!   watchdog sees no forward progress despite queued work, or a
@@ -203,8 +202,9 @@ pub struct WindowRow {
     /// dispatches and breaches; zeros when nothing waited.
     pub queue_wait: (u64, u64, u64),
     /// Batch-occupancy percentiles (p50, p90, p99) — commands per
-    /// dispatcher lock visit in this window; zeros when the server ran
-    /// unbatched (the hook only fires on the batched dispatch path).
+    /// event-policy dispatcher lock visit in this window; zeros when
+    /// nothing was dispatched that way (the lock-arbitrated baseline
+    /// never reports occupancy).
     pub batch_occupancy: (u64, u64, u64),
     /// Per-tenant completions `(global tenant id, count)`, ascending.
     pub tenant_completed: Vec<(usize, u64)>,
@@ -266,7 +266,7 @@ impl MetricsSnapshot {
 }
 
 /// The per-server telemetry state, `Some` only after
-/// [`enable_telemetry`](crate::AccelServer::enable_telemetry).
+/// [`enable_telemetry`](crate::FleetServer::enable_telemetry).
 pub(crate) struct Telemetry {
     config: TelemetryConfig,
     /// Local tenant index → global tenant id (identity for a standalone

@@ -1,9 +1,6 @@
 //! Batched-dispatch contracts.
 //!
-//! * `batch = Fixed(1)` routes through the batched code path but must be
-//!   **byte-identical** to the unbatched event path for every
-//!   event-driven policy: same outcomes, same final cycle, same
-//!   counters, same latency/queue-wait histograms.
+//! * The lock-arbitrated baseline ignores the batch width entirely.
 //! * Wider batches may re-time dispatches but must **conserve the
 //!   outcome set**: with admission capacity for the whole schedule and
 //!   no deadlines, every job completes under any batch width, with the
@@ -17,10 +14,8 @@ use std::collections::BTreeMap;
 use bcore::elaborate;
 use bkernels::vecadd;
 use bplatform::Platform;
-use bruntime::FpgaHandle;
 use bserver::{
-    AccelServer, Arrival, BatchPolicy, DispatchPolicy, FleetConfig, FleetServer, JobSpec,
-    ServerConfig,
+    Arrival, BatchPolicy, DispatchPolicy, FleetConfig, FleetServer, JobSpec, ServerConfig,
 };
 use proptest::prelude::*;
 
@@ -47,26 +42,40 @@ struct RunFingerprint {
     histograms: String,
 }
 
+/// A 1-shard fleet over a 2-core vecadd SoC, one buffer per tenant.
+fn one_shard_fleet(
+    config: ServerConfig,
+    n_tenants: usize,
+) -> (FleetServer, Vec<bruntime::RemotePtr>) {
+    let fleet = FleetServer::new(
+        |_| elaborate(vecadd::config(2), &Platform::kria()).expect("vecadd elaborates"),
+        vecadd::SYSTEM,
+        n_tenants,
+        FleetConfig {
+            shards: 1,
+            server: config,
+        },
+    )
+    .expect("fleet opens");
+    let buffers = (0..n_tenants)
+        .map(|t| {
+            let s = fleet.session(t);
+            let mem = s.malloc(4096 * 4).expect("tenant buffer");
+            s.write_u32_slice(mem, &vec![1u32; 4096]);
+            mem
+        })
+        .collect();
+    (fleet, buffers)
+}
+
 fn run_single(policy: DispatchPolicy, batch: BatchPolicy, n_tenants: usize) -> RunFingerprint {
-    let soc = elaborate(vecadd::config(2), &Platform::kria()).expect("vecadd elaborates");
-    let handle = FpgaHandle::new(soc);
     let config = ServerConfig {
         policy,
         queue_capacity: 8,
         batch,
         ..ServerConfig::default()
     };
-    let mut server = AccelServer::new(&handle, vecadd::SYSTEM, n_tenants, config).expect("server");
-    let buffers: Vec<bruntime::RemotePtr> = server
-        .sessions()
-        .iter()
-        .map(|s| {
-            let mem = s.malloc(4096 * 4).expect("tenant buffer");
-            s.write_u32_slice(mem, &vec![1u32; 4096]);
-            mem
-        })
-        .collect();
-    let t0 = handle.now();
+    let (mut fleet, buffers) = one_shard_fleet(config, n_tenants);
     let arrivals: Vec<Arrival> = schedule(n_tenants, 24)
         .into_iter()
         .map(|(at_cycle, tenant, n_eles, deadline)| {
@@ -76,22 +85,24 @@ fn run_single(policy: DispatchPolicy, batch: BatchPolicy, n_tenants: usize) -> R
                 spec = spec.with_deadline(d);
             }
             Arrival {
-                at_cycle: t0 + at_cycle,
+                at_cycle,
                 tenant,
                 spec,
             }
         })
         .collect();
-    let outcomes = format!("{:?}", server.run_open_loop(arrivals));
-    let stats = server.stats();
-    let counters = vec![
-        ("dispatched", stats.get("dispatched")),
-        ("completed", stats.get("completed")),
-        ("rejected", stats.get("rejected")),
-        ("retried", stats.get("retried")),
-        ("lock_wait_cycles", stats.get("lock_wait_cycles")),
-        ("coalesced_wakes", stats.get("coalesced_wakes")),
-    ];
+    let outcomes = format!("{:?}", fleet.run_open_loop(arrivals));
+    let counters = [
+        "dispatched",
+        "completed",
+        "rejected",
+        "retried",
+        "lock_wait_cycles",
+        "coalesced_wakes",
+    ]
+    .map(|name| (name, fleet.counter_total(name)))
+    .to_vec();
+    let handle = fleet.handle(0);
     let histograms = handle.with_soc(|soc| {
         format!(
             "{:?} {:?}",
@@ -108,42 +119,14 @@ fn run_single(policy: DispatchPolicy, batch: BatchPolicy, n_tenants: usize) -> R
 }
 
 #[test]
-fn batch_one_is_byte_identical_to_unbatched_for_every_event_policy() {
-    for policy in [
-        DispatchPolicy::Fifo,
-        DispatchPolicy::RoundRobin,
-        DispatchPolicy::ShortestJobFirst,
-    ] {
-        let unbatched = run_single(policy, BatchPolicy::Unbatched, 4);
-        let one = run_single(policy, BatchPolicy::Fixed(1), 4);
-        assert_eq!(
-            unbatched.outcomes, one.outcomes,
-            "{policy:?}: batch=1 must produce the unbatched outcomes"
-        );
-        assert_eq!(
-            unbatched.final_cycle, one.final_cycle,
-            "{policy:?}: batch=1 must land on the unbatched final cycle"
-        );
-        assert_eq!(
-            unbatched.counters, one.counters,
-            "{policy:?}: batch=1 must match the unbatched counters"
-        );
-        assert_eq!(
-            unbatched.histograms, one.histograms,
-            "{policy:?}: batch=1 must match the unbatched histograms"
-        );
-    }
-}
-
-#[test]
 fn lock_arbitrated_baseline_ignores_the_batch_setting() {
+    let one = run_single(DispatchPolicy::LockArbitrated, BatchPolicy::Fixed(1), 4);
     for batch in [BatchPolicy::Fixed(8), BatchPolicy::Auto] {
-        let unbatched = run_single(DispatchPolicy::LockArbitrated, BatchPolicy::Unbatched, 4);
         let batched = run_single(DispatchPolicy::LockArbitrated, batch, 4);
-        assert_eq!(unbatched.outcomes, batched.outcomes, "{batch:?}");
-        assert_eq!(unbatched.final_cycle, batched.final_cycle, "{batch:?}");
-        assert_eq!(unbatched.counters, batched.counters, "{batch:?}");
-        assert_eq!(unbatched.histograms, batched.histograms, "{batch:?}");
+        assert_eq!(one.outcomes, batched.outcomes, "{batch:?}");
+        assert_eq!(one.final_cycle, batched.final_cycle, "{batch:?}");
+        assert_eq!(one.counters, batched.counters, "{batch:?}");
+        assert_eq!(one.histograms, batched.histograms, "{batch:?}");
     }
 }
 
@@ -154,26 +137,14 @@ fn run_conservation(
     n_tenants: usize,
     batch: BatchPolicy,
 ) -> BTreeMap<usize, usize> {
-    let soc = elaborate(vecadd::config(2), &Platform::kria()).expect("vecadd elaborates");
-    let handle = FpgaHandle::new(soc);
     let config = ServerConfig {
         policy: DispatchPolicy::Fifo,
         queue_capacity: plan.len().max(1),
         batch,
         ..ServerConfig::default()
     };
-    let mut server = AccelServer::new(&handle, vecadd::SYSTEM, n_tenants, config).expect("server");
-    let buffers: Vec<bruntime::RemotePtr> = server
-        .sessions()
-        .iter()
-        .map(|s| {
-            let mem = s.malloc(4096 * 4).expect("tenant buffer");
-            s.write_u32_slice(mem, &vec![1u32; 4096]);
-            mem
-        })
-        .collect();
-    let t0 = handle.now();
-    let mut at = t0;
+    let (mut fleet, buffers) = one_shard_fleet(config, n_tenants);
+    let mut at = 0;
     let arrivals: Vec<Arrival> = plan
         .iter()
         .map(|&(gap, tenant, n_eles)| {
@@ -186,7 +157,7 @@ fn run_conservation(
             }
         })
         .collect();
-    let outcomes = server.run_open_loop(arrivals);
+    let outcomes = fleet.run_open_loop(arrivals);
     let mut per_tenant = BTreeMap::new();
     for (i, o) in outcomes.iter().enumerate() {
         assert!(
@@ -229,10 +200,10 @@ proptest! {
                 *m.entry(t).or_insert(0) += 1;
                 m
             });
-        let unbatched = run_conservation(&plan, 4, BatchPolicy::Unbatched);
+        let one = run_conservation(&plan, 4, BatchPolicy::Fixed(1));
         let batched = run_conservation(&plan, 4, batch);
         prop_assert_eq!(&batched, &offered, "{:?} lost or invented jobs", batch);
-        prop_assert_eq!(&batched, &unbatched, "{:?} drifted from unbatched", batch);
+        prop_assert_eq!(&batched, &one, "{:?} drifted from width 1", batch);
     }
 }
 

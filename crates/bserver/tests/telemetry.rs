@@ -1,5 +1,5 @@
-//! End-to-end tests for the request-telemetry layer: span lifecycle,
-//! cycle-neutrality of tracing, windowed-metric reconciliation, the
+//! End-to-end tests for the request-telemetry layer: cycle-neutrality
+//! of tracing, windowed-metric reconciliation, the
 //! queue-wait accounting of rejected jobs, the flight-recorder watchdog
 //! on an injected stall, and the fleet rollup's idempotence.
 
@@ -11,76 +11,45 @@ use bcore::{
 };
 use bkernels::vecadd;
 use bplatform::Platform;
-use bruntime::FpgaHandle;
 use bserver::{
-    AccelServer, Arrival, DeadlineAction, DispatchPolicy, FleetConfig, FleetServer, JobOutcome,
-    JobSpec, ServerConfig, TelemetryConfig, WatchdogConfig,
+    Arrival, DeadlineAction, DispatchPolicy, FleetConfig, FleetServer, JobOutcome, JobSpec,
+    ServerConfig, TelemetryConfig, WatchdogConfig,
 };
 use bsim::Cycle;
 
-/// A 1-system vecadd SoC plus a ready-to-use server and buffer.
+/// A 1-shard fleet over a vecadd SoC plus a ready-to-use buffer.
 fn setup(
     n_cores: u32,
     n_tenants: usize,
     config: ServerConfig,
-) -> (FpgaHandle, AccelServer, bruntime::RemotePtr) {
-    let soc = elaborate(vecadd::config(n_cores), &Platform::kria()).expect("elaboration");
-    let handle = FpgaHandle::new(soc);
-    let server = AccelServer::new(&handle, vecadd::SYSTEM, n_tenants, config).expect("server");
-    let mem = handle.malloc(64 * 1024).expect("buffer");
-    handle.write_u32_slice(mem, &vec![1u32; 16 * 1024]);
-    (handle, server, mem)
+) -> (FleetServer, bruntime::RemotePtr) {
+    let fleet = FleetServer::new(
+        |_| elaborate(vecadd::config(n_cores), &Platform::kria()).expect("elaboration"),
+        vecadd::SYSTEM,
+        n_tenants,
+        FleetConfig {
+            shards: 1,
+            server: config,
+        },
+    )
+    .expect("fleet");
+    let mem = fleet.handle(0).malloc(64 * 1024).expect("buffer");
+    fleet.handle(0).write_u32_slice(mem, &vec![1u32; 16 * 1024]);
+    (fleet, mem)
 }
 
 fn job(mem: bruntime::RemotePtr, n: u32) -> JobSpec {
     JobSpec::new(vecadd::args(1, mem.device_addr(), n)).with_cost_hint(u64::from(n))
 }
 
-fn schedule(mem: bruntime::RemotePtr, t0: Cycle, jobs: usize, tenants: usize) -> Vec<Arrival> {
+fn schedule(mem: bruntime::RemotePtr, jobs: usize, tenants: usize) -> Vec<Arrival> {
     (0..jobs)
         .map(|i| Arrival {
-            at_cycle: t0 + (i as Cycle) * 400,
+            at_cycle: (i as Cycle) * 400,
             tenant: i % tenants,
             spec: job(mem, 64 << (i % 3)),
         })
         .collect()
-}
-
-#[test]
-fn spans_cover_admission_queue_and_core_for_one_job() {
-    let (handle, mut server, mem) = setup(1, 1, ServerConfig::default());
-    server.enable_telemetry(TelemetryConfig::default());
-    let t0 = handle.now();
-    let outcomes = server.run_open_loop(vec![Arrival {
-        at_cycle: t0,
-        tenant: 0,
-        spec: job(mem, 64),
-    }]);
-    assert!(outcomes[0].is_completed());
-    let spans = server.spans().expect("telemetry on");
-    let stages: Vec<(&str, &str)> = spans
-        .iter()
-        .filter(|s| s.trace_id == 0)
-        .map(|s| (s.track.as_str(), s.name.as_str()))
-        .collect();
-    assert!(
-        stages.contains(&("admission", "admit")),
-        "admission span missing: {stages:?}"
-    );
-    assert!(
-        stages.contains(&("tenant0", "queue")),
-        "queue span missing: {stages:?}"
-    );
-    assert!(
-        stages.contains(&("core0", "execute")),
-        "execute span missing: {stages:?}"
-    );
-    // The lifecycle is ordered: admit ends before queue ends before
-    // execute ends, and the execute span covers real cycles.
-    let find = |name: &str| spans.iter().find(|s| s.name == name).unwrap();
-    assert!(find("admit").end <= find("queue").end);
-    assert!(find("queue").end <= find("execute").start);
-    assert!(find("execute").end > find("execute").start);
 }
 
 #[test]
@@ -90,13 +59,12 @@ fn telemetry_and_watchdog_are_cycle_and_outcome_neutral() {
             policy: DispatchPolicy::Fifo,
             ..ServerConfig::default()
         };
-        let (handle, mut server, mem) = setup(2, 3, config);
+        let (mut fleet, mem) = setup(2, 3, config);
         if let Some(t) = telemetry {
-            server.enable_telemetry(t);
+            fleet.enable_telemetry(t);
         }
-        let t0 = handle.now();
-        let outcomes = server.run_open_loop(schedule(mem, t0, 12, 3));
-        (format!("{outcomes:?}"), handle.now())
+        let outcomes = fleet.run_open_loop(schedule(mem, 12, 3));
+        (format!("{outcomes:?}"), fleet.handle(0).now())
     };
     let off = run(None);
     let on = run(Some(TelemetryConfig::default()));
@@ -226,21 +194,21 @@ fn windows_reconcile_with_whole_run_histograms() {
         policy: DispatchPolicy::RoundRobin,
         ..ServerConfig::default()
     };
-    let (handle, mut server, mem) = setup(2, 3, config);
-    server.enable_telemetry(TelemetryConfig {
+    let (mut fleet, mem) = setup(2, 3, config);
+    fleet.enable_telemetry(TelemetryConfig {
         window_cycles: 2048,
         ..TelemetryConfig::default()
     });
-    let t0 = handle.now();
-    let outcomes = server.run_open_loop(schedule(mem, t0, 15, 3));
+    let outcomes = fleet.run_open_loop(schedule(mem, 15, 3));
     let completed = outcomes.iter().filter(|o| o.is_completed()).count() as u64;
-    let series = server.window_series().expect("telemetry on");
+    let series = fleet.window_series().expect("telemetry on");
     // Per-window counts partition the totals exactly.
     assert_eq!(series.total("completed"), completed);
-    assert_eq!(series.total("completed"), server.stats().get("completed"));
+    assert_eq!(series.total("completed"), fleet.counter_total("completed"));
     // The merged windowed histogram IS the whole-run histogram: same
     // count, sum, and percentiles as the perf-registry aggregate.
-    let whole = handle
+    let whole = fleet
+        .handle(0)
         .with_soc(|soc| soc.perf().histogram("server/latency_cycles"))
         .expect("registered");
     let merged = series.merged_histogram("latency_cycles");
@@ -250,7 +218,7 @@ fn windows_reconcile_with_whole_run_histograms() {
         assert_eq!(merged.percentile(p), whole.percentile(p), "p{p}");
     }
     // And the snapshot rows expose the same windows.
-    let snap = server.metrics_snapshot().expect("telemetry on");
+    let snap = fleet.metrics_snapshot().expect("telemetry on").aggregate;
     assert_eq!(snap.window_cycles, 2048);
     assert_eq!(
         snap.windows.iter().map(|w| w.completed).sum::<u64>(),
@@ -267,16 +235,15 @@ fn rejected_outcomes_record_queue_wait() {
         deadline_action: DeadlineAction::Reject,
         ..ServerConfig::default()
     };
-    let (handle, mut server, mem) = setup(1, 1, config);
-    let t0 = handle.now();
-    let outcomes = server.run_open_loop(vec![
+    let (mut fleet, mem) = setup(1, 1, config);
+    let outcomes = fleet.run_open_loop(vec![
         Arrival {
-            at_cycle: t0,
+            at_cycle: 0,
             tenant: 0,
             spec: job(mem, 8192),
         },
         Arrival {
-            at_cycle: t0 + 1,
+            at_cycle: 1,
             tenant: 0,
             spec: job(mem, 64).with_deadline(10),
         },
@@ -288,7 +255,8 @@ fn rejected_outcomes_record_queue_wait() {
         panic!("deadline must breach: {:?}", outcomes[1]);
     };
     assert!(queue_wait_cycles > 10);
-    let h = handle
+    let h = fleet
+        .handle(0)
         .with_soc(|soc| soc.perf().histogram("server/queue_wait_cycles"))
         .expect("registered");
     assert_eq!(
@@ -304,19 +272,19 @@ fn rejected_outcomes_record_queue_wait() {
         queue_capacity: 1,
         ..ServerConfig::default()
     };
-    let (handle, mut server, mem) = setup(1, 1, config);
-    let t0 = handle.now();
+    let (mut fleet, mem) = setup(1, 1, config);
     let arrivals: Vec<Arrival> = (0..6)
         .map(|i| Arrival {
-            at_cycle: t0 + i,
+            at_cycle: i,
             tenant: 0,
             spec: job(mem, 4096),
         })
         .collect();
-    let outcomes = server.run_open_loop(arrivals);
+    let outcomes = fleet.run_open_loop(arrivals);
     let rejected = outcomes.iter().filter(|o| !o.is_completed()).count() as u64;
     assert!(rejected > 0, "burst beyond a 1-deep queue must reject");
-    let h = handle
+    let h = fleet
+        .handle(0)
         .with_soc(|soc| soc.perf().histogram("server/queue_wait_cycles"))
         .expect("registered");
     assert_eq!(
@@ -339,35 +307,46 @@ impl AcceleratorCore for BlackHoleCore {
 
 #[test]
 fn watchdog_dumps_flight_recorder_on_injected_stall() {
-    let spec = AccelCommandSpec::new("swallow", vec![("x".to_owned(), FieldType::U(32))]);
-    let cfg = AcceleratorConfig::new().with_system(SystemConfig::new("BlackHole", 1, spec, || {
-        Box::<BlackHoleCore>::default()
-    }));
-    let handle = FpgaHandle::new(elaborate(cfg, &Platform::kria()).expect("elaboration"));
+    let black_hole_soc = |_| {
+        let spec = AccelCommandSpec::new("swallow", vec![("x".to_owned(), FieldType::U(32))]);
+        let cfg =
+            AcceleratorConfig::new().with_system(SystemConfig::new("BlackHole", 1, spec, || {
+                Box::<BlackHoleCore>::default()
+            }));
+        elaborate(cfg, &Platform::kria()).expect("elaboration")
+    };
     let config = ServerConfig {
         policy: DispatchPolicy::Fifo,
         // Small budgets keep the wedge-detection fast in simulation.
         response_budget_cycles: 50_000,
         ..ServerConfig::default()
     };
-    let mut server = AccelServer::new(&handle, "BlackHole", 1, config).expect("server");
+    let mut fleet = FleetServer::new(
+        black_hole_soc,
+        "BlackHole",
+        1,
+        FleetConfig {
+            shards: 1,
+            server: config,
+        },
+    )
+    .expect("fleet");
     let dump_dir =
         std::env::temp_dir().join(format!("bserver-telemetry-stall-{}", std::process::id()));
     std::fs::remove_dir_all(&dump_dir).ok();
-    server.enable_telemetry(TelemetryConfig {
+    fleet.enable_telemetry(TelemetryConfig {
         flight_capacity: 32,
         watchdog: Some(WatchdogConfig::new(5_000, &dump_dir)),
         ..TelemetryConfig::default()
     });
-    let t0 = handle.now();
     let args: BTreeMap<String, u64> = [("x".to_owned(), 7u64)].into_iter().collect();
     let arrivals = vec![Arrival {
-        at_cycle: t0,
+        at_cycle: 0,
         tenant: 0,
         spec: JobSpec::new(args),
     }];
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        server.run_open_loop(arrivals)
+        fleet.run_open_loop_on(arrivals, 1)
     }));
     let err = result.expect_err("a wedged device must eventually panic");
     let msg = err
@@ -378,7 +357,7 @@ fn watchdog_dumps_flight_recorder_on_injected_stall() {
     assert!(msg.contains("device wedged"), "unexpected panic: {msg}");
     // The watchdog dumped *before* the panic: a parseable flight record
     // with the dispatch that never completed.
-    let dumps = server.flight_dumps();
+    let dumps = fleet.flight_dumps();
     assert_eq!(dumps.len(), 1, "exactly one stall dump");
     let contents = std::fs::read_to_string(&dumps[0]).expect("dump readable");
     bsim::perf::validate_json(&contents).expect("dump is valid JSON");

@@ -114,7 +114,7 @@ pub trait Component {
 
 /// Which driver loop a [`Simulation`] uses. All three modes are
 /// cycle-exact with one another; they differ only in host work per
-/// simulated cycle. See the [module docs](self) and `DESIGN.md`.
+/// simulated cycle; `DESIGN.md` describes each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerMode {
     /// Tick every component on every cycle. The correctness oracle
@@ -367,8 +367,8 @@ impl Simulation {
     }
 
     /// Creates a bounded channel with the default 1-cycle visibility
-    /// latency and returns its `Copy` endpoint IDs. See the
-    /// [`chan`](crate::chan) module docs.
+    /// latency and returns its `Copy` endpoint IDs (see [`Sender`] and
+    /// [`Receiver`]).
     ///
     /// # Panics
     ///
