@@ -8,12 +8,13 @@
 //! queue, the response port, and every memory primitive the core's
 //! configuration declared.
 
-use std::collections::BTreeMap;
+use std::marker::PhantomData;
+use std::ops::{Index, IndexMut};
 
 use bsim::{Cycle, Receiver, Sender, SimCtx, Stats};
 
 use crate::command::{RoccResponse, UnpackedCommand};
-use crate::intracore::{RemoteWritePort, RemoteWriteSink};
+use crate::intracore::{RemoteWrite, RemoteWritePort, RemoteWriteSink};
 use crate::primitives::{Reader, Scratchpad, Writer};
 
 /// A user-implemented accelerator core.
@@ -43,16 +44,163 @@ pub trait AcceleratorCore {
     }
 }
 
+mod sealed {
+    /// Converts a typed port handle to and from its slot in a [`super::Ports`].
+    pub trait Handle: Copy {
+        fn from_slot(slot: usize) -> Self;
+        fn slot(self) -> usize;
+    }
+}
+
+macro_rules! port_handle {
+    ($(#[$doc:meta])* $name:ident) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub struct $name(usize);
+
+        impl sealed::Handle for $name {
+            fn from_slot(slot: usize) -> Self {
+                Self(slot)
+            }
+
+            fn slot(self) -> usize {
+                self.0
+            }
+        }
+    };
+}
+
+port_handle!(
+    /// A resolved read channel: [`CoreContext::reader_id`] hands it out,
+    /// `ctx.readers[id]` uses it.
+    ReaderId
+);
+port_handle!(
+    /// A resolved write channel: [`CoreContext::writer_id`] hands it out,
+    /// `ctx.writers[id]` uses it.
+    WriterId
+);
+port_handle!(
+    /// A resolved scratchpad: [`CoreContext::scratchpad_id`] hands it out,
+    /// `ctx.scratchpads[id]` uses it.
+    ScratchpadId
+);
+port_handle!(
+    /// A resolved intra-core out port: [`CoreContext::intra_out_id`] hands
+    /// it out, `ctx.intra_outs[id]` uses it.
+    IntraOutId
+);
+
+/// One family of a core's primitives (its readers, writers, scratchpads or
+/// intra-core out ports), addressed by the family's handle type `I`.
+///
+/// Entries are stored sorted by declared name, channels of one name in
+/// index order; the harness ticks them in that order.
+pub struct Ports<T, I> {
+    names: Vec<String>,
+    items: Vec<T>,
+    handle: PhantomData<fn() -> I>,
+}
+
+impl<T, I: sealed::Handle> Ports<T, I> {
+    /// Stores `named` sorted by name; the sort is stable, so the channels
+    /// of one name keep their index order.
+    pub(crate) fn new(mut named: Vec<(String, T)>) -> Self {
+        named.sort_by(|a, b| a.0.cmp(&b.0));
+        let (names, items) = named.into_iter().unzip();
+        Self {
+            names,
+            items,
+            handle: PhantomData,
+        }
+    }
+
+    /// The handles of every entry named `name`, in channel order.
+    fn named(&self, name: &str) -> std::ops::Range<usize> {
+        let start = self.names.partition_point(|n| n.as_str() < name);
+        let end = self.names.partition_point(|n| n.as_str() <= name);
+        start..end
+    }
+
+    /// Channel `idx` of `name`, if declared.
+    fn resolve(&self, name: &str, idx: usize) -> Option<I> {
+        let range = self.named(name);
+        (idx < range.len()).then(|| I::from_slot(range.start + idx))
+    }
+
+    /// Mutable borrows of several distinct entries at once, e.g. a source
+    /// and a destination scratchpad in one datapath cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a handle appears twice in `ids`.
+    pub fn disjoint_mut<const N: usize>(&mut self, ids: [I; N]) -> [&mut T; N] {
+        match self.items.get_disjoint_mut(ids.map(I::slot)) {
+            Ok(items) => items,
+            Err(e) => panic!("disjoint port borrow: {e}"),
+        }
+    }
+
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, T> {
+        self.items.iter()
+    }
+
+    pub(crate) fn iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
+        self.items.iter_mut()
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.items.len()
+    }
+}
+
+impl<T, I: sealed::Handle> Index<I> for Ports<T, I> {
+    type Output = T;
+
+    fn index(&self, id: I) -> &T {
+        &self.items[id.slot()]
+    }
+}
+
+impl<T, I: sealed::Handle> IndexMut<I> for Ports<T, I> {
+    fn index_mut(&mut self, id: I) -> &mut T {
+        &mut self.items[id.slot()]
+    }
+}
+
+impl<T, I> std::fmt::Debug for Ports<T, I> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(&self.names).finish()
+    }
+}
+
 /// Everything a core can touch during a tick: its identity, its clock, its
 /// declared memory primitives, and its command/response IO.
+///
+/// Primitives live in four [`Ports`] families. A core resolves each name
+/// to a handle once — usually in the constructor its
+/// [`crate::SystemConfig`] factory runs at elaboration, which receives
+/// this context — and indexes with the handle every cycle:
+/// `ctx.readers[self.a].pop_u32()`. The fields are disjoint, so one cycle
+/// can drive a reader and a writer (or a scratchpad and the reader that
+/// fills it) at the same time. The by-name accessors ([`reader`],
+/// [`scratchpad`], ...) resolve and index in one step, for per-command
+/// code and tests.
+///
+/// [`reader`]: CoreContext::reader
+/// [`scratchpad`]: CoreContext::scratchpad
 pub struct CoreContext {
     system_id: u16,
     core_id: u16,
     now: Cycle,
-    readers: BTreeMap<String, Vec<Reader>>,
-    writers: BTreeMap<String, Vec<Writer>>,
-    scratchpads: BTreeMap<String, Scratchpad>,
-    intra_outs: BTreeMap<String, RemoteWritePort>,
+    /// Read channels (the paper's `getReaderModule`).
+    pub readers: Ports<Reader, ReaderId>,
+    /// Write channels (`getWriterModule`).
+    pub writers: Ports<Writer, WriterId>,
+    /// Scratchpads, including intra-core In ports (`getScratchpad`).
+    pub scratchpads: Ports<Scratchpad, ScratchpadId>,
+    /// Intra-core Out ports (`getIntraCoreMemOut`).
+    pub intra_outs: Ports<RemoteWritePort, IntraOutId>,
     intra_sinks: Vec<RemoteWriteSink>,
     cmd_rx: Receiver<UnpackedCommand>,
     resp_tx: Sender<RoccResponse>,
@@ -65,9 +213,9 @@ impl CoreContext {
     pub(crate) fn new(
         system_id: u16,
         core_id: u16,
-        readers: BTreeMap<String, Vec<Reader>>,
-        writers: BTreeMap<String, Vec<Writer>>,
-        scratchpads: BTreeMap<String, Scratchpad>,
+        readers: Vec<(String, Reader)>,
+        writers: Vec<(String, Writer)>,
+        scratchpads: Vec<(String, Scratchpad)>,
         cmd_rx: Receiver<UnpackedCommand>,
         resp_tx: Sender<RoccResponse>,
         stats: Stats,
@@ -76,10 +224,10 @@ impl CoreContext {
             system_id,
             core_id,
             now: 0,
-            readers,
-            writers,
-            scratchpads,
-            intra_outs: BTreeMap::new(),
+            readers: Ports::new(readers),
+            writers: Ports::new(writers),
+            scratchpads: Ports::new(scratchpads),
+            intra_outs: Ports::new(Vec::new()),
             intra_sinks: Vec::new(),
             cmd_rx,
             resp_tx,
@@ -87,14 +235,28 @@ impl CoreContext {
         }
     }
 
-    /// Installs the core-to-core plumbing (called by the elaborator).
+    /// Installs the core-to-core plumbing (called by the elaborator):
+    /// the Out ports, and the inbound links with the name of the
+    /// scratchpad each one lands in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a link targets a scratchpad this core does not declare.
     pub(crate) fn set_intracore(
         &mut self,
-        outs: BTreeMap<String, RemoteWritePort>,
-        sinks: Vec<RemoteWriteSink>,
+        outs: Vec<(String, RemoteWritePort)>,
+        sinks: Vec<(String, Receiver<RemoteWrite>)>,
     ) {
-        self.intra_outs = outs;
-        self.intra_sinks = sinks;
+        self.intra_outs = Ports::new(outs);
+        self.intra_sinks = sinks
+            .into_iter()
+            .map(|(name, rx)| {
+                let scratchpad = self.scratchpads.resolve(&name, 0).unwrap_or_else(|| {
+                    panic!("intra-core sink targets unknown scratchpad '{name}'")
+                });
+                RemoteWriteSink { scratchpad, rx }
+            })
+            .collect();
     }
 
     /// This core's system id.
@@ -146,30 +308,96 @@ impl CoreContext {
         true
     }
 
-    /// The paper's `getReaderModule(name)`: channel 0 of a read stream.
+    /// The paper's `getReaderModule(name)` resolved once: the handle of
+    /// channel 0 of a read stream.
     ///
     /// # Panics
     ///
     /// Panics if the name was not declared in the configuration — that is
     /// a programming error in the core, as in the real framework.
+    pub fn reader_id(&self, name: &str) -> ReaderId {
+        self.reader_id_at(name, 0)
+    }
+
+    /// `getReaderModule(name, idx)` resolved once.
+    ///
+    /// # Panics
+    ///
+    /// Panics on unknown name or index.
+    pub fn reader_id_at(&self, name: &str, idx: usize) -> ReaderId {
+        self.readers.resolve(name, idx).unwrap_or_else(|| {
+            if self.readers.named(name).is_empty() {
+                panic!("no read channel named '{name}'")
+            }
+            panic!("read channel '{name}' has no index {idx}")
+        })
+    }
+
+    /// `getWriterModule(name)` resolved once: channel 0 of a write stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name was not declared.
+    pub fn writer_id(&self, name: &str) -> WriterId {
+        self.writer_id_at(name, 0)
+    }
+
+    /// `getWriterModule(name, idx)` resolved once.
+    ///
+    /// # Panics
+    ///
+    /// Panics on unknown name or index.
+    pub fn writer_id_at(&self, name: &str, idx: usize) -> WriterId {
+        self.writers.resolve(name, idx).unwrap_or_else(|| {
+            if self.writers.named(name).is_empty() {
+                panic!("no write channel named '{name}'")
+            }
+            panic!("write channel '{name}' has no index {idx}")
+        })
+    }
+
+    /// `getScratchpad(name)` resolved once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name was not declared.
+    pub fn scratchpad_id(&self, name: &str) -> ScratchpadId {
+        self.scratchpads
+            .resolve(name, 0)
+            .unwrap_or_else(|| panic!("no scratchpad named '{name}'"))
+    }
+
+    /// The appendix's `getIntraCoreMemOut(name)` resolved once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name was not declared.
+    pub fn intra_out_id(&self, name: &str) -> IntraOutId {
+        self.intra_outs
+            .resolve(name, 0)
+            .unwrap_or_else(|| panic!("no intra-core out port named '{name}'"))
+    }
+
+    /// Channel 0 of a read stream, by name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name was not declared.
     pub fn reader(&mut self, name: &str) -> &mut Reader {
         self.reader_at(name, 0)
     }
 
-    /// `getReaderModule(name, idx)`: a specific channel.
+    /// A specific read channel, by name.
     ///
     /// # Panics
     ///
     /// Panics on unknown name or index.
     pub fn reader_at(&mut self, name: &str, idx: usize) -> &mut Reader {
-        self.readers
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("no read channel named '{name}'"))
-            .get_mut(idx)
-            .unwrap_or_else(|| panic!("read channel '{name}' has no index {idx}"))
+        let id = self.reader_id_at(name, idx);
+        &mut self.readers[id]
     }
 
-    /// `getWriterModule(name)`: channel 0 of a write stream.
+    /// Channel 0 of a write stream, by name.
     ///
     /// # Panics
     ///
@@ -178,44 +406,38 @@ impl CoreContext {
         self.writer_at(name, 0)
     }
 
-    /// `getWriterModule(name, idx)`.
+    /// A specific write channel, by name.
     ///
     /// # Panics
     ///
     /// Panics on unknown name or index.
     pub fn writer_at(&mut self, name: &str, idx: usize) -> &mut Writer {
-        self.writers
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("no write channel named '{name}'"))
-            .get_mut(idx)
-            .unwrap_or_else(|| panic!("write channel '{name}' has no index {idx}"))
+        let id = self.writer_id_at(name, idx);
+        &mut self.writers[id]
     }
 
-    /// `getScratchpad(name)`.
+    /// A scratchpad, by name.
     ///
     /// # Panics
     ///
     /// Panics if the name was not declared.
     pub fn scratchpad(&mut self, name: &str) -> &mut Scratchpad {
-        self.scratchpads
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("no scratchpad named '{name}'"))
+        let id = self.scratchpad_id(name);
+        &mut self.scratchpads[id]
     }
 
-    /// The appendix's `getIntraCoreMemOut(name)`: the write port into a
-    /// remote core's scratchpad.
+    /// An intra-core out port, by name.
     ///
     /// # Panics
     ///
     /// Panics if the name was not declared.
     pub fn intra_out(&mut self, name: &str) -> &mut RemoteWritePort {
-        self.intra_outs
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("no intra-core out port named '{name}'"))
+        let id = self.intra_out_id(name);
+        &mut self.intra_outs[id]
     }
 
-    /// Borrows a scratchpad and a reader simultaneously (needed by
-    /// scratchpad init loops, which drive one with the other).
+    /// Borrows a scratchpad and a reader simultaneously, by name (needed
+    /// by scratchpad init loops, which drive one with the other).
     ///
     /// # Panics
     ///
@@ -225,33 +447,17 @@ impl CoreContext {
         sp_name: &str,
         reader_name: &str,
     ) -> (&mut Scratchpad, &mut Reader) {
-        let sp = self
-            .scratchpads
-            .get_mut(sp_name)
-            .unwrap_or_else(|| panic!("no scratchpad named '{sp_name}'"));
-        let reader = self
-            .readers
-            .get_mut(reader_name)
-            .unwrap_or_else(|| panic!("no read channel named '{reader_name}'"))
-            .get_mut(0)
-            .expect("channel 0 exists");
-        (sp, reader)
+        let sp = self.scratchpad_id(sp_name);
+        let reader = self.reader_id(reader_name);
+        (&mut self.scratchpads[sp], &mut self.readers[reader])
     }
 
     /// Applies remote writes that have arrived over the intra-accelerator
     /// network (called by the harness before the core's tick, so a core
     /// observes writes with the modelled network latency).
     pub(crate) fn drain_remote_writes(&mut self, sim: &SimCtx, now: Cycle) {
-        for sink in &mut self.intra_sinks {
-            let sp = self
-                .scratchpads
-                .get_mut(&sink.scratchpad)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "intra-core sink targets unknown scratchpad '{}'",
-                        sink.scratchpad
-                    )
-                });
+        for sink in &self.intra_sinks {
+            let sp = &mut self.scratchpads[sink.scratchpad];
             while let Some(write) = sink.rx.recv(sim, now) {
                 sp.write(write.idx as usize, write.data);
             }
@@ -261,15 +467,11 @@ impl CoreContext {
     /// Ticks every primitive (called by the harness after the core's tick).
     pub(crate) fn tick_primitives(&mut self, sim: &SimCtx, now: Cycle) {
         self.now = now;
-        for readers in self.readers.values_mut() {
-            for reader in readers {
-                reader.tick(sim, now);
-            }
+        for reader in self.readers.iter_mut() {
+            reader.tick(sim, now);
         }
-        for writers in self.writers.values_mut() {
-            for writer in writers {
-                writer.tick(sim, now);
-            }
+        for writer in self.writers.iter_mut() {
+            writer.tick(sim, now);
         }
     }
 
@@ -283,7 +485,7 @@ impl CoreContext {
     pub(crate) fn next_event(&self, sim: &SimCtx, now: Cycle) -> Option<Cycle> {
         // Scratchpad init is driven from the core's own tick; an idle()
         // claim during init would be a core bug — stay awake regardless.
-        if self.scratchpads.values().any(Scratchpad::initializing) {
+        if self.scratchpads.iter().any(Scratchpad::initializing) {
             return Some(now + 1);
         }
         let mut wake: Option<Cycle> = None;
@@ -293,10 +495,10 @@ impl CoreContext {
                 wake = Some(wake.map_or(e, |w: Cycle| w.min(e)));
             }
         };
-        for reader in self.readers.values().flatten() {
+        for reader in self.readers.iter() {
             consider(reader.next_event(sim, now));
         }
-        for writer in self.writers.values().flatten() {
+        for writer in self.writers.iter() {
             consider(writer.next_event(sim, now));
         }
         consider(self.cmd_rx.next_visible_at(sim));
@@ -316,10 +518,10 @@ impl CoreContext {
         for sink in &self.intra_sinks {
             sink.rx.wake_on_send(sim, waker);
         }
-        for reader in self.readers.values().flatten() {
+        for reader in self.readers.iter() {
             reader.register_wakes(sim, waker);
         }
-        for writer in self.writers.values().flatten() {
+        for writer in self.writers.iter() {
             writer.register_wakes(sim, waker);
         }
     }

@@ -7,8 +7,6 @@
 //! platform's memory controller, and emits host bindings, placement
 //! constraints, and a resource report.
 
-use std::collections::BTreeMap;
-
 use baxi::{
     axi_link, axi_link_with_latency, AxiMemoryController, AxiParams, AxiSlavePort,
     ControllerConfig, PortDepths,
@@ -444,7 +442,8 @@ pub fn elaborate_with(
     };
     // (sys, core, out-port name) -> downstream senders; (sys, core) -> sinks.
     type OutLinks = std::collections::HashMap<(usize, u16, String), Vec<bsim::Sender<RemoteWrite>>>;
-    type InSinks = std::collections::HashMap<(usize, u16), Vec<crate::intracore::RemoteWriteSink>>;
+    type InSinks =
+        std::collections::HashMap<(usize, u16), Vec<(String, bsim::Receiver<RemoteWrite>)>>;
     let mut out_links: OutLinks = std::collections::HashMap::new();
     let mut in_sinks: InSinks = std::collections::HashMap::new();
     let mut out_widths: std::collections::HashMap<(usize, String), u32> =
@@ -483,12 +482,10 @@ pub fn elaborate_with(
                     let latency = link_latency(src_flat, dst_flat);
                     let (tx, rx) = sim.channel_with_latency(16.max(latency as usize), latency);
                     senders.push(tx);
-                    in_sinks.entry((t_idx, t_core)).or_default().push(
-                        crate::intracore::RemoteWriteSink {
-                            scratchpad: in_cfg.name.clone(),
-                            rx,
-                        },
-                    );
+                    in_sinks
+                        .entry((t_idx, t_core))
+                        .or_default()
+                        .push((in_cfg.name.clone(), rx));
                 }
                 out_links.insert((o_idx, core, out.name.clone()), senders);
             }
@@ -502,9 +499,9 @@ pub fn elaborate_with(
         let mem_latency = mem_net.latency_to_root(flat);
         let cmd_latency = cmd_net.latency_to_root(flat).max(1);
 
-        let mut readers: BTreeMap<String, Vec<Reader>> = BTreeMap::new();
-        let mut writers: BTreeMap<String, Vec<Writer>> = BTreeMap::new();
-        let mut scratchpads: BTreeMap<String, Scratchpad> = BTreeMap::new();
+        let mut readers = Vec::new();
+        let mut writers = Vec::new();
+        let mut scratchpads = Vec::new();
         let depths = PortDepths {
             ar: 8,
             r: 2 * opts.burst_beats as usize + 8,
@@ -518,7 +515,6 @@ pub fn elaborate_with(
         for ch in &sys.memory_channels {
             match ch {
                 MemoryChannelConfig::Read(r) => {
-                    let mut channels = Vec::new();
                     for i in 0..r.n_channels {
                         let (master, slave) = axi_link_with_latency(&mut sim, depths, mem_latency);
                         slave_ports[mem_port].push(slave);
@@ -535,12 +531,10 @@ pub fn elaborate_with(
                             master,
                         );
                         reader.attach_perf(&perf.set(&format!("{core_label}/{}{i}", r.name)));
-                        channels.push(reader);
+                        readers.push((r.name.clone(), reader));
                     }
-                    readers.insert(r.name.clone(), channels);
                 }
                 MemoryChannelConfig::Write(w) => {
-                    let mut channels = Vec::new();
                     for i in 0..w.n_channels {
                         let (master, slave) = axi_link_with_latency(&mut sim, depths, mem_latency);
                         slave_ports[mem_port].push(slave);
@@ -557,20 +551,19 @@ pub fn elaborate_with(
                             master,
                         );
                         writer.attach_perf(&perf.set(&format!("{core_label}/{}{i}", w.name)));
-                        channels.push(writer);
+                        writers.push((w.name.clone(), writer));
                     }
-                    writers.insert(w.name.clone(), channels);
                 }
                 MemoryChannelConfig::Scratchpad(sp) => {
                     let mut pad =
                         Scratchpad::new(&sp.name, sp.data_width_bits, sp.n_datas, sp.latency);
                     pad.attach_perf(&perf.set(&format!("{core_label}/{}", sp.name)));
-                    scratchpads.insert(sp.name.clone(), pad);
+                    scratchpads.push((sp.name.clone(), pad));
                 }
                 MemoryChannelConfig::IntraIn(i) => {
                     let mut pad = Scratchpad::new(&i.name, i.data_width_bits, i.n_datas, i.latency);
                     pad.attach_perf(&perf.set(&format!("{core_label}/{}", i.name)));
-                    scratchpads.insert(i.name.clone(), pad);
+                    scratchpads.push((i.name.clone(), pad));
                 }
                 MemoryChannelConfig::IntraOut(_) => {}
             }
@@ -591,22 +584,22 @@ pub fn elaborate_with(
             resp_tx,
             core_stats,
         );
-        let mut outs = BTreeMap::new();
+        let mut outs = Vec::new();
         for ch in &sys.memory_channels {
             if let MemoryChannelConfig::IntraOut(out) = ch {
                 let senders = out_links
                     .remove(&(sys_idx, core_idx, out.name.clone()))
                     .expect("links created in the pre-pass");
                 let width = out_widths[&(sys_idx, out.name.clone())];
-                outs.insert(
+                outs.push((
                     out.name.clone(),
                     RemoteWritePort::new(out.name.clone(), senders, width),
-                );
+                ));
             }
         }
         let sinks = in_sinks.remove(&(sys_idx, core_idx)).unwrap_or_default();
         ctx.set_intracore(outs, sinks);
-        let core = (sys.factory)();
+        let core = (sys.factory)(&ctx);
         sim.add(CoreHarness { core, ctx });
         links[sys_idx].push(CoreLink { cmd_tx, resp_rx });
     }
@@ -847,7 +840,7 @@ mod tests {
             ],
         );
         AcceleratorConfig::new().with_system(
-            SystemConfig::new("MyAcceleratorSystem", n_cores, spec, || {
+            SystemConfig::new("MyAcceleratorSystem", n_cores, spec, |_| {
                 Box::new(VecAddCore::new())
             })
             .with_read(ReadChannelConfig::new("vec_in", 4))
@@ -954,7 +947,7 @@ mod tests {
             Err(ElaborationError::NoSystems)
         ));
         let spec = AccelCommandSpec::new("x", vec![]);
-        let cfg = AcceleratorConfig::new().with_system(SystemConfig::new("empty", 0, spec, || {
+        let cfg = AcceleratorConfig::new().with_system(SystemConfig::new("empty", 0, spec, |_| {
             Box::new(VecAddCore::new())
         }));
         assert!(matches!(
@@ -967,7 +960,7 @@ mod tests {
     fn duplicate_channel_names_rejected() {
         let spec = AccelCommandSpec::new("x", vec![]);
         let cfg = AcceleratorConfig::new().with_system(
-            SystemConfig::new("dup", 1, spec, || Box::new(VecAddCore::new()))
+            SystemConfig::new("dup", 1, spec, |_| Box::new(VecAddCore::new()))
                 .with_read(ReadChannelConfig::new("a", 4))
                 .with_write(WriteChannelConfig::new("a", 4)),
         );
@@ -993,7 +986,7 @@ mod tests {
     fn too_many_cores_fail_placement() {
         let spec = AccelCommandSpec::new("x", vec![]);
         let cfg = AcceleratorConfig::new().with_system(
-            SystemConfig::new("huge", 2000, spec, || Box::new(VecAddCore::new()))
+            SystemConfig::new("huge", 2000, spec, |_| Box::new(VecAddCore::new()))
                 .with_core_logic(ResourceVector::new(4_000, 30_000, 30_000, 40, 0, 0)),
         );
         assert!(matches!(

@@ -15,6 +15,8 @@
 use bsim::{Cycle, Receiver, Sender, SimCtx};
 use serde::{Deserialize, Serialize};
 
+use crate::core::ScratchpadId;
+
 /// How an Out port's cores map onto the target In port's cores
 /// (the appendix's `CommunicationDegree`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -74,7 +76,7 @@ impl IntraCoreMemoryPortInConfig {
 /// (`IntraCoreMemoryPortOutConfig`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntraCoreMemoryPortOutConfig {
-    /// Port name (referenced by `ctx.intra_out(name)`).
+    /// Port name, resolved with `ctx.intra_out_id(name)`.
     pub name: String,
     /// Target system name.
     pub to_system: String,
@@ -164,7 +166,7 @@ impl RemoteWritePort {
 /// before each tick.
 #[derive(Debug)]
 pub(crate) struct RemoteWriteSink {
-    /// Name of the scratchpad the writes land in.
-    pub scratchpad: String,
+    /// The scratchpad the writes land in.
+    pub scratchpad: ScratchpadId,
     pub rx: Receiver<RemoteWrite>,
 }

@@ -46,7 +46,7 @@ pub use config::{
     AcceleratorConfig, MemoryChannelConfig, ReadChannelConfig, ScratchpadConfig, SystemConfig,
     WriteChannelConfig,
 };
-pub use core::{AcceleratorCore, CoreContext};
+pub use core::{AcceleratorCore, CoreContext, IntraOutId, Ports, ReaderId, ScratchpadId, WriterId};
 pub use elaborate::{elaborate, estimate_max_cores, ElaborationError};
 pub use intracore::{
     CommunicationDegree, IntraCoreMemoryPortInConfig, IntraCoreMemoryPortOutConfig, RemoteWrite,

@@ -44,7 +44,7 @@ impl AcceleratorCore for MisbehavingCore {
 fn soc(platform: &Platform) -> bcore::SocSim {
     let spec = AccelCommandSpec::new("poke", vec![("mode".to_owned(), FieldType::U(4))]);
     let cfg = AcceleratorConfig::new().with_system(
-        SystemConfig::new("Chaos", 1, spec, || Box::new(MisbehavingCore { mode: 0 }))
+        SystemConfig::new("Chaos", 1, spec, |_| Box::new(MisbehavingCore { mode: 0 }))
             .with_read(ReadChannelConfig::new("in", 4))
             .with_write(WriteChannelConfig::new("out", 4)),
     );

@@ -109,7 +109,7 @@ fn config(n_pairs: u32, broadcast: bool, n_consumers: u32) -> AcceleratorConfig 
     }
     AcceleratorConfig::new()
         .with_system(
-            SystemConfig::new("Producers", n_pairs, producer_spec(), || {
+            SystemConfig::new("Producers", n_pairs, producer_spec(), |_| {
                 Box::new(Producer::new())
             })
             .with_intra_out(IntraCoreMemoryPortOutConfig::new(
@@ -119,7 +119,7 @@ fn config(n_pairs: u32, broadcast: bool, n_consumers: u32) -> AcceleratorConfig 
             )),
         )
         .with_system(
-            SystemConfig::new("Consumers", n_consumers, consumer_spec(), || {
+            SystemConfig::new("Consumers", n_consumers, consumer_spec(), |_| {
                 Box::new(Consumer::new())
             })
             .with_intra_in(mailbox),
@@ -196,7 +196,7 @@ fn cross_slr_links_add_latency_but_still_deliver() {
 #[test]
 fn unknown_target_system_is_rejected() {
     let cfg = AcceleratorConfig::new().with_system(
-        SystemConfig::new("Lonely", 1, producer_spec(), || Box::new(Producer::new()))
+        SystemConfig::new("Lonely", 1, producer_spec(), |_| Box::new(Producer::new()))
             .with_intra_out(IntraCoreMemoryPortOutConfig::new(
                 "ring", "Nowhere", "mailbox",
             )),
@@ -209,12 +209,9 @@ fn unknown_target_system_is_rejected() {
 fn unknown_target_port_is_rejected() {
     let cfg = AcceleratorConfig::new()
         .with_system(
-            SystemConfig::new(
-                "Producers",
-                1,
-                producer_spec(),
-                || Box::new(Producer::new()),
-            )
+            SystemConfig::new("Producers", 1, producer_spec(), |_| {
+                Box::new(Producer::new())
+            })
             .with_intra_out(IntraCoreMemoryPortOutConfig::new(
                 "ring",
                 "Consumers",
@@ -222,12 +219,9 @@ fn unknown_target_port_is_rejected() {
             )),
         )
         .with_system(
-            SystemConfig::new(
-                "Consumers",
-                1,
-                consumer_spec(),
-                || Box::new(Consumer::new()),
-            )
+            SystemConfig::new("Consumers", 1, consumer_spec(), |_| {
+                Box::new(Consumer::new())
+            })
             .with_intra_in(IntraCoreMemoryPortInConfig::new("mailbox", 32, 64)),
         );
     let err = elaborate(cfg, &Platform::sim()).unwrap_err();

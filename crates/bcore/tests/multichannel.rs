@@ -65,7 +65,7 @@ fn config(n_cores: u32) -> AcceleratorConfig {
         ],
     );
     AcceleratorConfig::new().with_system(
-        SystemConfig::new("PairAdd", n_cores, spec, || Box::<PairAdd>::default())
+        SystemConfig::new("PairAdd", n_cores, spec, |_| Box::<PairAdd>::default())
             .with_read(ReadChannelConfig::new("operands", 4).with_channels(2))
             .with_write(WriteChannelConfig::new("sum", 4)),
     )

@@ -9,7 +9,8 @@
 
 use bcore::{
     AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    ReadChannelConfig, ScratchpadConfig, SystemConfig, WriteChannelConfig,
+    ReadChannelConfig, ReaderId, ScratchpadConfig, ScratchpadId, SystemConfig, WriteChannelConfig,
+    WriterId,
 };
 use bplatform::ResourceVector;
 
@@ -30,6 +31,12 @@ enum Phase {
 #[derive(Debug)]
 pub struct GemmCore {
     p: usize,
+    a: ReaderId,
+    b: ReaderId,
+    c: WriterId,
+    b_sp: ScratchpadId,
+    a_row: ScratchpadId,
+    c_row: ScratchpadId,
     phase: Phase,
     n: usize,
     a_addr: u64,
@@ -41,15 +48,21 @@ pub struct GemmCore {
 }
 
 impl GemmCore {
-    /// A core with parallelism factor `p`.
+    /// A core with parallelism factor `p`, bound to the channels of `ctx`.
     ///
     /// # Panics
     ///
     /// Panics if `p` is zero.
-    pub fn new(p: usize) -> Self {
+    pub fn new(ctx: &CoreContext, p: usize) -> Self {
         assert!(p > 0, "parallelism factor must be nonzero");
         Self {
             p,
+            a: ctx.reader_id("a"),
+            b: ctx.reader_id("b"),
+            c: ctx.writer_id("c"),
+            b_sp: ctx.scratchpad_id("b_sp"),
+            a_row: ctx.scratchpad_id("a_row"),
+            c_row: ctx.scratchpad_id("c_row"),
             phase: Phase::Idle,
             n: 0,
             a_addr: 0,
@@ -78,34 +91,35 @@ impl AcceleratorCore for GemmCore {
                     self.c_addr = cmd.arg("c");
                     let b_addr = cmd.arg("b");
                     self.row = 0;
+                    let b_sp = &mut ctx.scratchpads[self.b_sp];
                     assert!(
-                        self.n * self.n <= ctx.scratchpad("b_sp").len(),
+                        self.n * self.n <= b_sp.len(),
                         "n exceeds configured scratchpad capacity"
                     );
-                    let (sp, reader) = ctx.scratchpad_and_reader("b_sp", "b");
-                    sp.start_init(reader, b_addr).expect("b reader idle");
-                    ctx.writer("c")
+                    b_sp.start_init(&mut ctx.readers[self.b], b_addr)
+                        .expect("b reader idle");
+                    ctx.writers[self.c]
                         .request(self.c_addr, (self.n * self.n * 4) as u64)
                         .expect("writer idle");
                     self.phase = Phase::LoadB;
                 }
             }
             Phase::LoadB => {
-                let (sp, reader) = ctx.scratchpad_and_reader("b_sp", "b");
-                sp.service_init(reader);
-                if !ctx.scratchpad("b_sp").initializing() {
+                let b_sp = &mut ctx.scratchpads[self.b_sp];
+                b_sp.service_init(&mut ctx.readers[self.b]);
+                if !b_sp.initializing() {
                     self.start_row(ctx);
                 }
             }
             Phase::LoadARow => {
-                let (sp, reader) = ctx.scratchpad_and_reader("a_row", "a");
-                sp.service_init(reader);
-                if !ctx.scratchpad("a_row").initializing() {
+                let [a_row, c_row] = ctx.scratchpads.disjoint_mut([self.a_row, self.c_row]);
+                a_row.service_init(&mut ctx.readers[self.a]);
+                if !a_row.initializing() {
                     self.k = 0;
                     self.jb = 0;
                     // Zero the accumulator row.
                     for j in 0..self.n {
-                        ctx.scratchpad("c_row").write(j, 0);
+                        c_row.write(j, 0);
                     }
                     self.phase = Phase::Compute;
                 }
@@ -113,16 +127,19 @@ impl AcceleratorCore for GemmCore {
             Phase::Compute => {
                 // P MACs per cycle: c_row[jb..jb+P] += a_row[k] * b[k][..].
                 let n = self.n;
-                let a_ik = ctx.scratchpad("a_row").read(self.k) as u32 as i32;
+                let [a_row, b_sp, c_row] = ctx
+                    .scratchpads
+                    .disjoint_mut([self.a_row, self.b_sp, self.c_row]);
+                let a_ik = a_row.read(self.k) as u32 as i32;
                 for lane in 0..self.p {
                     let j = self.jb + lane;
                     if j >= n {
                         break;
                     }
-                    let b_kj = ctx.scratchpad("b_sp").read(self.k * n + j) as u32 as i32;
-                    let acc = ctx.scratchpad("c_row").read(j) as u32 as i32;
+                    let b_kj = b_sp.read(self.k * n + j) as u32 as i32;
+                    let acc = c_row.read(j) as u32 as i32;
                     let next = acc.wrapping_add(a_ik.wrapping_mul(b_kj));
-                    ctx.scratchpad("c_row").write(j, next as u32 as u64);
+                    c_row.write(j, next as u32 as u64);
                 }
                 self.jb += self.p;
                 if self.jb >= n {
@@ -136,15 +153,16 @@ impl AcceleratorCore for GemmCore {
             }
             Phase::DrainRow => {
                 // Push the finished row to the writer, P words per cycle.
+                let c_row = &ctx.scratchpads[self.c_row];
+                let c = &mut ctx.writers[self.c];
                 for _ in 0..self.p {
                     if self.drain_j >= self.n {
                         break;
                     }
-                    if !ctx.writer("c").can_push() {
+                    if !c.can_push() {
                         break;
                     }
-                    let v = ctx.scratchpad("c_row").read(self.drain_j) as u32;
-                    ctx.writer("c").push_u32(v);
+                    c.push_u32(c_row.read(self.drain_j) as u32);
                     self.drain_j += 1;
                 }
                 if self.drain_j >= self.n {
@@ -157,7 +175,7 @@ impl AcceleratorCore for GemmCore {
                 }
             }
             Phase::Finish => {
-                if ctx.writer("c").done() && ctx.respond(sim, 0) {
+                if ctx.writers[self.c].done() && ctx.respond(sim, 0) {
                     self.phase = Phase::Idle;
                 }
             }
@@ -168,8 +186,9 @@ impl AcceleratorCore for GemmCore {
 impl GemmCore {
     fn start_row(&mut self, ctx: &mut CoreContext) {
         let addr = self.a_addr + (self.row * self.n * 4) as u64;
-        let (sp, reader) = ctx.scratchpad_and_reader("a_row", "a");
-        sp.start_init(reader, addr).expect("a reader idle");
+        ctx.scratchpads[self.a_row]
+            .start_init(&mut ctx.readers[self.a], addr)
+            .expect("a reader idle");
         self.phase = Phase::LoadARow;
     }
 }
@@ -190,8 +209,8 @@ pub fn command_spec() -> AccelCommandSpec {
 /// Configuration: `n_cores` GeMM cores sized for `max_n`, parallelism `p`.
 pub fn config(n_cores: u32, max_n: usize, p: usize) -> AcceleratorConfig {
     AcceleratorConfig::new().with_system(
-        SystemConfig::new(SYSTEM, n_cores, command_spec(), move || {
-            Box::new(GemmCore::new(p))
+        SystemConfig::new(SYSTEM, n_cores, command_spec(), move |ctx| {
+            Box::new(GemmCore::new(ctx, p))
         })
         .with_read(ReadChannelConfig::new("a", 64))
         .with_read(ReadChannelConfig::new("b", 64))

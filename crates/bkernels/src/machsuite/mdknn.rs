@@ -10,7 +10,8 @@
 
 use bcore::{
     AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    ReadChannelConfig, ScratchpadConfig, SystemConfig, WriteChannelConfig,
+    ReadChannelConfig, ReaderId, ScratchpadConfig, ScratchpadId, SystemConfig, WriteChannelConfig,
+    WriterId,
 };
 use bplatform::ResourceVector;
 
@@ -36,6 +37,12 @@ enum Phase {
 #[derive(Debug)]
 pub struct MdKnnCore {
     p: usize,
+    pos_in: ReaderId,
+    nl_in: ReaderId,
+    force: WriterId,
+    pos: ScratchpadId,
+    nl: ScratchpadId,
+    fout: ScratchpadId,
     phase: Phase,
     n: usize,
     k: usize,
@@ -46,15 +53,22 @@ pub struct MdKnnCore {
 }
 
 impl MdKnnCore {
-    /// A core computing `p` interactions per cycle.
+    /// A core computing `p` interactions per cycle, bound to the channels
+    /// of `ctx`.
     ///
     /// # Panics
     ///
     /// Panics if `p` is zero.
-    pub fn new(p: usize) -> Self {
+    pub fn new(ctx: &CoreContext, p: usize) -> Self {
         assert!(p > 0);
         Self {
             p,
+            pos_in: ctx.reader_id("pos_in"),
+            nl_in: ctx.reader_id("nl_in"),
+            force: ctx.writer_id("force"),
+            pos: ctx.scratchpad_id("pos"),
+            nl: ctx.scratchpad_id("nl"),
+            fout: ctx.scratchpad_id("fout"),
             phase: Phase::Idle,
             n: 0,
             k: 0,
@@ -87,32 +101,34 @@ impl AcceleratorCore for MdKnnCore {
                 if let Some(cmd) = ctx.take_command(sim) {
                     self.n = cmd.arg("n") as usize;
                     self.k = cmd.arg("k") as usize;
-                    assert!(self.n * 3 <= ctx.scratchpad("pos").len());
-                    assert!(self.n * self.k <= ctx.scratchpad("nl").len());
+                    assert!(self.n * 3 <= ctx.scratchpads[self.pos].len());
+                    assert!(self.n * self.k <= ctx.scratchpads[self.nl].len());
                     let pos = cmd.arg("pos");
                     let nl = cmd.arg("nl");
                     let force = cmd.arg("force");
-                    let (sp, reader) = ctx.scratchpad_and_reader("pos", "pos_in");
-                    sp.start_init(reader, pos).expect("reader idle");
-                    let (spn, readern) = ctx.scratchpad_and_reader("nl", "nl_in");
-                    spn.start_init(readern, nl).expect("reader idle");
-                    ctx.writer("force")
+                    ctx.scratchpads[self.pos]
+                        .start_init(&mut ctx.readers[self.pos_in], pos)
+                        .expect("reader idle");
+                    ctx.scratchpads[self.nl]
+                        .start_init(&mut ctx.readers[self.nl_in], nl)
+                        .expect("reader idle");
+                    ctx.writers[self.force]
                         .request(force, (self.n * 3 * 4) as u64)
                         .expect("writer idle");
                     self.phase = Phase::LoadPos;
                 }
             }
             Phase::LoadPos => {
-                let (sp, reader) = ctx.scratchpad_and_reader("pos", "pos_in");
-                sp.service_init(reader);
-                if !ctx.scratchpad("pos").initializing() {
+                let pos = &mut ctx.scratchpads[self.pos];
+                pos.service_init(&mut ctx.readers[self.pos_in]);
+                if !pos.initializing() {
                     self.phase = Phase::LoadNeighbors;
                 }
             }
             Phase::LoadNeighbors => {
-                let (sp, reader) = ctx.scratchpad_and_reader("nl", "nl_in");
-                sp.service_init(reader);
-                if !ctx.scratchpad("nl").initializing() {
+                let nl = &mut ctx.scratchpads[self.nl];
+                nl.service_init(&mut ctx.readers[self.nl_in]);
+                if !nl.initializing() {
                     self.atom = 0;
                     self.neighbor = 0;
                     self.acc = [0.0; 3];
@@ -120,21 +136,20 @@ impl AcceleratorCore for MdKnnCore {
                 }
             }
             Phase::Compute => {
+                let [nl, pos, fout] = ctx.scratchpads.disjoint_mut([self.nl, self.pos, self.fout]);
+                let read_pos = |idx: usize, axis: usize| bits_f32(pos.read(idx * 3 + axis));
                 for _ in 0..self.p {
                     if self.phase != Phase::Compute {
                         break;
                     }
                     let i = self.atom;
-                    let j = ctx.scratchpad("nl").read(i * self.k + self.neighbor) as usize;
-                    let read_pos = |ctx: &mut CoreContext, idx: usize, axis: usize| {
-                        bits_f32(ctx.scratchpad("pos").read(idx * 3 + axis))
-                    };
-                    let xi = read_pos(ctx, i, 0);
-                    let yi = read_pos(ctx, i, 1);
-                    let zi = read_pos(ctx, i, 2);
-                    let dx = xi - read_pos(ctx, j, 0);
-                    let dy = yi - read_pos(ctx, j, 1);
-                    let dz = zi - read_pos(ctx, j, 2);
+                    let j = nl.read(i * self.k + self.neighbor) as usize;
+                    let xi = read_pos(i, 0);
+                    let yi = read_pos(i, 1);
+                    let zi = read_pos(i, 2);
+                    let dx = xi - read_pos(j, 0);
+                    let dy = yi - read_pos(j, 1);
+                    let dz = zi - read_pos(j, 2);
                     let r2inv = 1.0f32 / (dx * dx + dy * dy + dz * dz);
                     let r6inv = r2inv * r2inv * r2inv;
                     let potential = r2inv * r6inv * (LJ1 * r6inv - LJ2);
@@ -144,8 +159,7 @@ impl AcceleratorCore for MdKnnCore {
                     self.neighbor += 1;
                     if self.neighbor == self.k {
                         for axis in 0..3 {
-                            ctx.scratchpad("fout")
-                                .write(i * 3 + axis, f32_bits(self.acc[axis]));
+                            fout.write(i * 3 + axis, f32_bits(self.acc[axis]));
                         }
                         self.acc = [0.0; 3];
                         self.neighbor = 0;
@@ -158,12 +172,13 @@ impl AcceleratorCore for MdKnnCore {
                 }
             }
             Phase::Drain => {
+                let fout = &ctx.scratchpads[self.fout];
+                let force = &mut ctx.writers[self.force];
                 for _ in 0..self.p.max(4) {
-                    if self.drain_pos >= self.n * 3 || !ctx.writer("force").can_push() {
+                    if self.drain_pos >= self.n * 3 || !force.can_push() {
                         break;
                     }
-                    let bits = ctx.scratchpad("fout").read(self.drain_pos) as u32;
-                    ctx.writer("force").push_u32(bits);
+                    force.push_u32(fout.read(self.drain_pos) as u32);
                     self.drain_pos += 1;
                 }
                 if self.drain_pos >= self.n * 3 {
@@ -171,7 +186,7 @@ impl AcceleratorCore for MdKnnCore {
                 }
             }
             Phase::Finish => {
-                if ctx.writer("force").done() && ctx.respond(sim, 0) {
+                if ctx.writers[self.force].done() && ctx.respond(sim, 0) {
                     self.phase = Phase::Idle;
                 }
             }
@@ -196,8 +211,8 @@ pub fn command_spec() -> AccelCommandSpec {
 /// Configuration for up to `max_n` atoms and `max_k` neighbours.
 pub fn config(n_cores: u32, max_n: usize, max_k: usize, p: usize) -> AcceleratorConfig {
     AcceleratorConfig::new().with_system(
-        SystemConfig::new(SYSTEM, n_cores, command_spec(), move || {
-            Box::new(MdKnnCore::new(p))
+        SystemConfig::new(SYSTEM, n_cores, command_spec(), move |ctx| {
+            Box::new(MdKnnCore::new(ctx, p))
         })
         .with_read(ReadChannelConfig::new("pos_in", 64))
         .with_read(ReadChannelConfig::new("nl_in", 64))

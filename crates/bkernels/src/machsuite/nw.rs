@@ -12,7 +12,8 @@
 
 use bcore::{
     AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    ReadChannelConfig, ScratchpadConfig, SystemConfig, WriteChannelConfig,
+    ReadChannelConfig, ReaderId, ScratchpadConfig, ScratchpadId, SystemConfig, WriteChannelConfig,
+    WriterId,
 };
 use bplatform::ResourceVector;
 
@@ -50,6 +51,15 @@ enum Phase {
 /// alignment output.
 #[derive(Debug)]
 pub struct NwCore {
+    a: ReaderId,
+    b: ReaderId,
+    out: WriterId,
+    seq_a: ScratchpadId,
+    seq_b: ScratchpadId,
+    dp_row: ScratchpadId,
+    tb: ScratchpadId,
+    out_a: ScratchpadId,
+    out_b: ScratchpadId,
     phase: Phase,
     n: usize,
     out_addr: u64,
@@ -65,9 +75,18 @@ pub struct NwCore {
 }
 
 impl NwCore {
-    /// A fresh core.
-    pub fn new() -> Self {
+    /// An idle core bound to the channels of `ctx`.
+    pub fn new(ctx: &CoreContext) -> Self {
         Self {
+            a: ctx.reader_id("a"),
+            b: ctx.reader_id("b"),
+            out: ctx.writer_id("out"),
+            seq_a: ctx.scratchpad_id("seq_a"),
+            seq_b: ctx.scratchpad_id("seq_b"),
+            dp_row: ctx.scratchpad_id("dp_row"),
+            tb: ctx.scratchpad_id("tb"),
+            out_a: ctx.scratchpad_id("out_a"),
+            out_b: ctx.scratchpad_id("out_b"),
             phase: Phase::Idle,
             n: 0,
             out_addr: 0,
@@ -78,12 +97,6 @@ impl NwCore {
             out_len: 0,
             drain_pos: 0,
         }
-    }
-}
-
-impl Default for NwCore {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -101,33 +114,34 @@ impl AcceleratorCore for NwCore {
                     self.n = cmd.arg("n") as usize;
                     self.out_addr = cmd.arg("out");
                     assert!(
-                        self.n <= ctx.scratchpad("seq_a").len(),
+                        self.n <= ctx.scratchpads[self.seq_a].len(),
                         "n exceeds capacity"
                     );
                     let a_addr = cmd.arg("seq_a");
                     let b_addr = cmd.arg("seq_b");
-                    let (sp, reader) = ctx.scratchpad_and_reader("seq_a", "a");
-                    sp.start_init(reader, a_addr).expect("reader idle");
-                    // Stash b's address for the next phase via the reader.
-                    let (spb, readerb) = ctx.scratchpad_and_reader("seq_b", "b");
-                    spb.start_init(readerb, b_addr).expect("reader idle");
-                    ctx.writer("out")
+                    ctx.scratchpads[self.seq_a]
+                        .start_init(&mut ctx.readers[self.a], a_addr)
+                        .expect("reader idle");
+                    ctx.scratchpads[self.seq_b]
+                        .start_init(&mut ctx.readers[self.b], b_addr)
+                        .expect("reader idle");
+                    ctx.writers[self.out]
                         .request(self.out_addr, (4 * self.n) as u64)
                         .expect("writer idle");
                     self.phase = Phase::LoadA;
                 }
             }
             Phase::LoadA => {
-                let (sp, reader) = ctx.scratchpad_and_reader("seq_a", "a");
-                sp.service_init(reader);
-                if !ctx.scratchpad("seq_a").initializing() {
+                let seq_a = &mut ctx.scratchpads[self.seq_a];
+                seq_a.service_init(&mut ctx.readers[self.a]);
+                if !seq_a.initializing() {
                     self.phase = Phase::LoadB;
                 }
             }
             Phase::LoadB => {
-                let (sp, reader) = ctx.scratchpad_and_reader("seq_b", "b");
-                sp.service_init(reader);
-                if !ctx.scratchpad("seq_b").initializing() {
+                let seq_b = &mut ctx.scratchpads[self.seq_b];
+                seq_b.service_init(&mut ctx.readers[self.b]);
+                if !seq_b.initializing() {
                     self.j = 0;
                     self.phase = Phase::InitRow0;
                 }
@@ -135,11 +149,11 @@ impl AcceleratorCore for NwCore {
             Phase::InitRow0 => {
                 // dp[0][j] = j * GAP; ptr[0][j] = LEFT. A real design does
                 // this with a counter, one entry per cycle.
+                let [dp_row, tb] = ctx.scratchpads.disjoint_mut([self.dp_row, self.tb]);
                 let j = self.j;
-                ctx.scratchpad("dp_row")
-                    .write(j, (j as i32 * GAP) as u32 as u64);
+                dp_row.write(j, (j as i32 * GAP) as u32 as u64);
                 if j > 0 {
-                    ctx.scratchpad("tb").write(j, PTR_LEFT);
+                    tb.write(j, PTR_LEFT);
                 }
                 self.j += 1;
                 if self.j > self.n {
@@ -147,7 +161,7 @@ impl AcceleratorCore for NwCore {
                     self.j = 1;
                     self.diag = 0; // dp[0][0]
                     self.left = GAP; // dp[1][0]
-                    ctx.scratchpad("tb").write(0, PTR_DIAG);
+                    tb.write(0, PTR_DIAG);
                     self.phase = Phase::Compute;
                 }
             }
@@ -155,9 +169,12 @@ impl AcceleratorCore for NwCore {
                 // One cell per cycle (II = 1).
                 let n = self.n;
                 let (i, j) = (self.i, self.j);
-                let a_char = ctx.scratchpad("seq_a").read(i - 1) as u8;
-                let b_char = ctx.scratchpad("seq_b").read(j - 1) as u8;
-                let up = ctx.scratchpad("dp_row").read(j) as u32 as i32;
+                let [seq_a, seq_b, dp_row, tb] =
+                    ctx.scratchpads
+                        .disjoint_mut([self.seq_a, self.seq_b, self.dp_row, self.tb]);
+                let a_char = seq_a.read(i - 1) as u8;
+                let b_char = seq_b.read(j - 1) as u8;
+                let up = dp_row.read(j) as u32 as i32;
                 let score = if a_char == b_char { MATCH } else { MISMATCH };
                 let d = self.diag + score;
                 let l = self.left + GAP;
@@ -169,11 +186,11 @@ impl AcceleratorCore for NwCore {
                 } else {
                     (u, PTR_UP)
                 };
-                ctx.scratchpad("tb").write(i * (n + 1) + j, ptr);
+                tb.write(i * (n + 1) + j, ptr);
                 // Slide the window: current row j-th value replaces dp_row.
                 self.diag = up;
                 self.left = best;
-                ctx.scratchpad("dp_row").write(j, best as u32 as u64);
+                dp_row.write(j, best as u32 as u64);
                 self.j += 1;
                 if self.j > n {
                     self.i += 1;
@@ -196,41 +213,45 @@ impl AcceleratorCore for NwCore {
                 }
                 let n = self.n;
                 let (i, j) = (self.i, self.j);
+                let [tb, seq_a, seq_b, out_a, out_b] = ctx
+                    .scratchpads
+                    .disjoint_mut([self.tb, self.seq_a, self.seq_b, self.out_a, self.out_b]);
                 let ptr = if i == 0 {
                     PTR_LEFT
                 } else if j == 0 {
                     PTR_UP
                 } else {
-                    ctx.scratchpad("tb").read(i * (n + 1) + j)
+                    tb.read(i * (n + 1) + j)
                 };
                 let (ca, cb) = match ptr {
                     PTR_DIAG => {
-                        let ca = ctx.scratchpad("seq_a").read(i - 1);
-                        let cb = ctx.scratchpad("seq_b").read(j - 1);
+                        let ca = seq_a.read(i - 1);
+                        let cb = seq_b.read(j - 1);
                         self.i -= 1;
                         self.j -= 1;
                         (ca, cb)
                     }
                     PTR_LEFT => {
-                        let cb = ctx.scratchpad("seq_b").read(j - 1);
+                        let cb = seq_b.read(j - 1);
                         self.j -= 1;
                         (u64::from(b'-'), cb)
                     }
                     _ => {
-                        let ca = ctx.scratchpad("seq_a").read(i - 1);
+                        let ca = seq_a.read(i - 1);
                         self.i -= 1;
                         (ca, u64::from(b'-'))
                     }
                 };
-                ctx.scratchpad("out_a").write(self.out_len, ca);
-                ctx.scratchpad("out_b").write(self.out_len, cb);
+                out_a.write(self.out_len, ca);
+                out_b.write(self.out_len, cb);
                 self.out_len += 1;
             }
             Phase::Pad => {
                 // Pad both aligned strings to 2n with '_'.
                 if self.out_len < 2 * self.n {
-                    ctx.scratchpad("out_a").write(self.out_len, u64::from(PAD));
-                    ctx.scratchpad("out_b").write(self.out_len, u64::from(PAD));
+                    let [out_a, out_b] = ctx.scratchpads.disjoint_mut([self.out_a, self.out_b]);
+                    out_a.write(self.out_len, u64::from(PAD));
+                    out_b.write(self.out_len, u64::from(PAD));
                     self.out_len += 1;
                 } else {
                     self.drain_pos = 0;
@@ -240,16 +261,19 @@ impl AcceleratorCore for NwCore {
             Phase::Drain => {
                 // Stream out_a then out_b, 4 bytes per cycle.
                 let total = 4 * self.n;
+                let out_a = &ctx.scratchpads[self.out_a];
+                let out_b = &ctx.scratchpads[self.out_b];
+                let out = &mut ctx.writers[self.out];
                 for _ in 0..4 {
-                    if self.drain_pos >= total || !ctx.writer("out").can_push() {
+                    if self.drain_pos >= total || !out.can_push() {
                         break;
                     }
                     let byte = if self.drain_pos < 2 * self.n {
-                        ctx.scratchpad("out_a").read(self.drain_pos) as u8
+                        out_a.read(self.drain_pos) as u8
                     } else {
-                        ctx.scratchpad("out_b").read(self.drain_pos - 2 * self.n) as u8
+                        out_b.read(self.drain_pos - 2 * self.n) as u8
                     };
-                    ctx.writer("out").push_chunk(&[byte]);
+                    out.push_chunk(&[byte]);
                     self.drain_pos += 1;
                 }
                 if self.drain_pos >= total {
@@ -257,7 +281,7 @@ impl AcceleratorCore for NwCore {
                 }
             }
             Phase::Finish => {
-                if ctx.writer("out").done() && ctx.respond(sim, 0) {
+                if ctx.writers[self.out].done() && ctx.respond(sim, 0) {
                     self.phase = Phase::Idle;
                 }
             }
@@ -281,17 +305,19 @@ pub fn command_spec() -> AccelCommandSpec {
 /// Configuration for sequences up to `max_n`.
 pub fn config(n_cores: u32, max_n: usize) -> AcceleratorConfig {
     AcceleratorConfig::new().with_system(
-        SystemConfig::new(SYSTEM, n_cores, command_spec(), || Box::new(NwCore::new()))
-            .with_read(ReadChannelConfig::new("a", 16))
-            .with_read(ReadChannelConfig::new("b", 16))
-            .with_write(WriteChannelConfig::new("out", 16))
-            .with_scratchpad(ScratchpadConfig::new("seq_a", 8, max_n))
-            .with_scratchpad(ScratchpadConfig::new("seq_b", 8, max_n))
-            .with_scratchpad(ScratchpadConfig::new("dp_row", 32, max_n + 1))
-            .with_scratchpad(ScratchpadConfig::new("tb", 2, (max_n + 1) * (max_n + 1)))
-            .with_scratchpad(ScratchpadConfig::new("out_a", 8, 2 * max_n))
-            .with_scratchpad(ScratchpadConfig::new("out_b", 8, 2 * max_n))
-            .with_core_logic(ResourceVector::new(900, 5_500, 5_000, 0, 0, 0)),
+        SystemConfig::new(SYSTEM, n_cores, command_spec(), |ctx| {
+            Box::new(NwCore::new(ctx))
+        })
+        .with_read(ReadChannelConfig::new("a", 16))
+        .with_read(ReadChannelConfig::new("b", 16))
+        .with_write(WriteChannelConfig::new("out", 16))
+        .with_scratchpad(ScratchpadConfig::new("seq_a", 8, max_n))
+        .with_scratchpad(ScratchpadConfig::new("seq_b", 8, max_n))
+        .with_scratchpad(ScratchpadConfig::new("dp_row", 32, max_n + 1))
+        .with_scratchpad(ScratchpadConfig::new("tb", 2, (max_n + 1) * (max_n + 1)))
+        .with_scratchpad(ScratchpadConfig::new("out_a", 8, 2 * max_n))
+        .with_scratchpad(ScratchpadConfig::new("out_b", 8, 2 * max_n))
+        .with_core_logic(ResourceVector::new(900, 5_500, 5_000, 0, 0, 0)),
     )
 }
 

@@ -8,7 +8,8 @@
 
 use bcore::{
     AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    ReadChannelConfig, ScratchpadConfig, SystemConfig, WriteChannelConfig,
+    ReadChannelConfig, ReaderId, ScratchpadConfig, ScratchpadId, SystemConfig, WriteChannelConfig,
+    WriterId,
 };
 use bplatform::ResourceVector;
 
@@ -28,21 +29,32 @@ enum Phase {
 #[derive(Debug)]
 pub struct Stencil2dCore {
     p: usize,
+    grid_in: ReaderId,
+    filter_in: ReaderId,
+    sol: WriterId,
+    grid: ScratchpadId,
+    filt: ScratchpadId,
     phase: Phase,
     n: usize,
     pos: usize,
 }
 
 impl Stencil2dCore {
-    /// A core computing `p` output cells per cycle.
+    /// A core computing `p` output cells per cycle, bound to the channels
+    /// of `ctx`.
     ///
     /// # Panics
     ///
     /// Panics if `p` is zero.
-    pub fn new(p: usize) -> Self {
+    pub fn new(ctx: &CoreContext, p: usize) -> Self {
         assert!(p > 0);
         Self {
             p,
+            grid_in: ctx.reader_id("grid_in"),
+            filter_in: ctx.reader_id("filter_in"),
+            sol: ctx.writer_id("sol"),
+            grid: ctx.scratchpad_id("grid"),
+            filt: ctx.scratchpad_id("filt"),
             phase: Phase::Idle,
             n: 0,
             pos: 0,
@@ -62,31 +74,33 @@ impl AcceleratorCore for Stencil2dCore {
             Phase::Idle => {
                 if let Some(cmd) = ctx.take_command(sim) {
                     self.n = cmd.arg("n") as usize;
-                    assert!(self.n * self.n <= ctx.scratchpad("grid").len());
+                    assert!(self.n * self.n <= ctx.scratchpads[self.grid].len());
                     let orig = cmd.arg("orig");
                     let filt = cmd.arg("filter");
                     let sol = cmd.arg("sol");
-                    let (sp, reader) = ctx.scratchpad_and_reader("filt", "filter_in");
-                    sp.start_init(reader, filt).expect("reader idle");
-                    let (spg, readerg) = ctx.scratchpad_and_reader("grid", "grid_in");
-                    spg.start_init(readerg, orig).expect("reader idle");
-                    ctx.writer("sol")
+                    ctx.scratchpads[self.filt]
+                        .start_init(&mut ctx.readers[self.filter_in], filt)
+                        .expect("reader idle");
+                    ctx.scratchpads[self.grid]
+                        .start_init(&mut ctx.readers[self.grid_in], orig)
+                        .expect("reader idle");
+                    ctx.writers[self.sol]
                         .request(sol, (self.n * self.n * 4) as u64)
                         .expect("writer idle");
                     self.phase = Phase::LoadFilter;
                 }
             }
             Phase::LoadFilter => {
-                let (sp, reader) = ctx.scratchpad_and_reader("filt", "filter_in");
-                sp.service_init(reader);
-                if !ctx.scratchpad("filt").initializing() {
+                let filt = &mut ctx.scratchpads[self.filt];
+                filt.service_init(&mut ctx.readers[self.filter_in]);
+                if !filt.initializing() {
                     self.phase = Phase::LoadGrid;
                 }
             }
             Phase::LoadGrid => {
-                let (sp, reader) = ctx.scratchpad_and_reader("grid", "grid_in");
-                sp.service_init(reader);
-                if !ctx.scratchpad("grid").initializing() {
+                let grid = &mut ctx.scratchpads[self.grid];
+                grid.service_init(&mut ctx.readers[self.grid_in]);
+                if !grid.initializing() {
                     self.pos = 0;
                     self.phase = Phase::Compute;
                 }
@@ -94,11 +108,14 @@ impl AcceleratorCore for Stencil2dCore {
             Phase::Compute => {
                 let n = self.n;
                 let total = n * n;
+                let filt = &ctx.scratchpads[self.filt];
+                let grid = &ctx.scratchpads[self.grid];
+                let sol = &mut ctx.writers[self.sol];
                 for _ in 0..self.p {
                     if self.pos >= total {
                         break;
                     }
-                    if !ctx.writer("sol").can_push() {
+                    if !sol.can_push() {
                         return; // backpressure: retry same position next cycle
                     }
                     let (r, c) = (self.pos / n, self.pos % n);
@@ -106,9 +123,8 @@ impl AcceleratorCore for Stencil2dCore {
                         let mut acc = 0i32;
                         for k1 in 0..3 {
                             for k2 in 0..3 {
-                                let f = ctx.scratchpad("filt").read(k1 * 3 + k2) as u32 as i32;
-                                let g = ctx.scratchpad("grid").read((r + k1) * n + c + k2) as u32
-                                    as i32;
+                                let f = filt.read(k1 * 3 + k2) as u32 as i32;
+                                let g = grid.read((r + k1) * n + c + k2) as u32 as i32;
                                 acc = acc.wrapping_add(f.wrapping_mul(g));
                             }
                         }
@@ -116,7 +132,7 @@ impl AcceleratorCore for Stencil2dCore {
                     } else {
                         0
                     };
-                    ctx.writer("sol").push_u32(value as u32);
+                    sol.push_u32(value as u32);
                     self.pos += 1;
                 }
                 if self.pos >= total {
@@ -124,7 +140,7 @@ impl AcceleratorCore for Stencil2dCore {
                 }
             }
             Phase::Finish => {
-                if ctx.writer("sol").done() && ctx.respond(sim, 0) {
+                if ctx.writers[self.sol].done() && ctx.respond(sim, 0) {
                     self.phase = Phase::Idle;
                 }
             }
@@ -148,8 +164,8 @@ pub fn command_spec() -> AccelCommandSpec {
 /// Configuration for grids up to `max_n × max_n`, `p` cells per cycle.
 pub fn config(n_cores: u32, max_n: usize, p: usize) -> AcceleratorConfig {
     AcceleratorConfig::new().with_system(
-        SystemConfig::new(SYSTEM, n_cores, command_spec(), move || {
-            Box::new(Stencil2dCore::new(p))
+        SystemConfig::new(SYSTEM, n_cores, command_spec(), move |ctx| {
+            Box::new(Stencil2dCore::new(ctx, p))
         })
         .with_read(ReadChannelConfig::new("grid_in", 64))
         .with_read(ReadChannelConfig::new("filter_in", 4))

@@ -8,7 +8,8 @@
 
 use bcore::{
     AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    ReadChannelConfig, ScratchpadConfig, SystemConfig, WriteChannelConfig,
+    ReadChannelConfig, ReaderId, ScratchpadConfig, ScratchpadId, SystemConfig, WriteChannelConfig,
+    WriterId,
 };
 use bplatform::ResourceVector;
 
@@ -27,6 +28,9 @@ enum Phase {
 #[derive(Debug)]
 pub struct Stencil3dCore {
     p: usize,
+    grid_in: ReaderId,
+    sol: WriterId,
+    grid: ScratchpadId,
     phase: Phase,
     n: usize,
     c0: i32,
@@ -35,15 +39,19 @@ pub struct Stencil3dCore {
 }
 
 impl Stencil3dCore {
-    /// A core computing `p` cells per cycle.
+    /// A core computing `p` cells per cycle, bound to the channels of
+    /// `ctx`.
     ///
     /// # Panics
     ///
     /// Panics if `p` is zero.
-    pub fn new(p: usize) -> Self {
+    pub fn new(ctx: &CoreContext, p: usize) -> Self {
         assert!(p > 0);
         Self {
             p,
+            grid_in: ctx.reader_id("grid_in"),
+            sol: ctx.writer_id("sol"),
+            grid: ctx.scratchpad_id("grid"),
             phase: Phase::Idle,
             n: 0,
             c0: 0,
@@ -65,23 +73,24 @@ impl AcceleratorCore for Stencil3dCore {
             Phase::Idle => {
                 if let Some(cmd) = ctx.take_command(sim) {
                     self.n = cmd.arg("n") as usize;
-                    assert!(self.n * self.n * self.n <= ctx.scratchpad("grid").len());
+                    assert!(self.n * self.n * self.n <= ctx.scratchpads[self.grid].len());
                     self.c0 = cmd.arg("c0") as u32 as i32;
                     self.c1 = cmd.arg("c1") as u32 as i32;
                     let orig = cmd.arg("orig");
                     let sol = cmd.arg("sol");
-                    let (sp, reader) = ctx.scratchpad_and_reader("grid", "grid_in");
-                    sp.start_init(reader, orig).expect("reader idle");
-                    ctx.writer("sol")
+                    ctx.scratchpads[self.grid]
+                        .start_init(&mut ctx.readers[self.grid_in], orig)
+                        .expect("reader idle");
+                    ctx.writers[self.sol]
                         .request(sol, (self.n * self.n * self.n * 4) as u64)
                         .expect("writer idle");
                     self.phase = Phase::LoadGrid;
                 }
             }
             Phase::LoadGrid => {
-                let (sp, reader) = ctx.scratchpad_and_reader("grid", "grid_in");
-                sp.service_init(reader);
-                if !ctx.scratchpad("grid").initializing() {
+                let grid = &mut ctx.scratchpads[self.grid];
+                grid.service_init(&mut ctx.readers[self.grid_in]);
+                if !grid.initializing() {
                     self.pos = 0;
                     self.phase = Phase::Compute;
                 }
@@ -89,20 +98,22 @@ impl AcceleratorCore for Stencil3dCore {
             Phase::Compute => {
                 let n = self.n;
                 let total = n * n * n;
+                let pad = &ctx.scratchpads[self.grid];
+                let sol = &mut ctx.writers[self.sol];
+                let grid = |ii: usize, jj: usize, kk: usize| {
+                    pad.read(ii * n * n + jj * n + kk) as u32 as i32
+                };
                 for _ in 0..self.p {
                     if self.pos >= total {
                         break;
                     }
-                    if !ctx.writer("sol").can_push() {
+                    if !sol.can_push() {
                         return;
                     }
                     // MachSuite layout: idx = i*n*n + j*n + k (k fastest).
                     let i = self.pos / (n * n);
                     let j = (self.pos / n) % n;
                     let k = self.pos % n;
-                    let mut grid = |ii: usize, jj: usize, kk: usize| {
-                        ctx.scratchpad("grid").read(ii * n * n + jj * n + kk) as u32 as i32
-                    };
                     let interior = i > 0 && i < n - 1 && j > 0 && j < n - 1 && k > 0 && k < n - 1;
                     let value = if interior {
                         let center = grid(i, j, k);
@@ -118,7 +129,7 @@ impl AcceleratorCore for Stencil3dCore {
                     } else {
                         grid(i, j, k)
                     };
-                    ctx.writer("sol").push_u32(value as u32);
+                    sol.push_u32(value as u32);
                     self.pos += 1;
                 }
                 if self.pos >= total {
@@ -126,7 +137,7 @@ impl AcceleratorCore for Stencil3dCore {
                 }
             }
             Phase::Finish => {
-                if ctx.writer("sol").done() && ctx.respond(sim, 0) {
+                if ctx.writers[self.sol].done() && ctx.respond(sim, 0) {
                     self.phase = Phase::Idle;
                 }
             }
@@ -151,8 +162,8 @@ pub fn command_spec() -> AccelCommandSpec {
 /// Configuration for grids up to `max_n³`, `p` cells per cycle.
 pub fn config(n_cores: u32, max_n: usize, p: usize) -> AcceleratorConfig {
     AcceleratorConfig::new().with_system(
-        SystemConfig::new(SYSTEM, n_cores, command_spec(), move || {
-            Box::new(Stencil3dCore::new(p))
+        SystemConfig::new(SYSTEM, n_cores, command_spec(), move |ctx| {
+            Box::new(Stencil3dCore::new(ctx, p))
         })
         .with_read(ReadChannelConfig::new("grid_in", 64))
         .with_write(WriteChannelConfig::new("sol", 64))

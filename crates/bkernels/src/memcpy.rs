@@ -20,7 +20,7 @@
 use bcore::elaborate::{elaborate_with, ElaborationOptions};
 use bcore::{
     AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    ReadChannelConfig, SystemConfig, WriteChannelConfig,
+    ReadChannelConfig, ReaderId, SystemConfig, WriteChannelConfig, WriterId,
 };
 use bplatform::Platform;
 use bsim::{TraceEvent, Tracer};
@@ -29,16 +29,23 @@ use bsim::{TraceEvent, Tracer};
 pub const SYSTEM: &str = "MemcpySystem";
 
 /// A streaming copy core: `memcpy(dst, src, len)`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MemcpyCore {
+    src: ReaderId,
+    dst: WriterId,
     remaining: u64,
     active: bool,
 }
 
 impl MemcpyCore {
-    /// A fresh, idle core.
-    pub fn new() -> Self {
-        Self::default()
+    /// An idle core bound to the `src` / `dst` channels of `ctx`.
+    pub fn new(ctx: &CoreContext) -> Self {
+        Self {
+            src: ctx.reader_id("src"),
+            dst: ctx.writer_id("dst"),
+            remaining: 0,
+            active: false,
+        }
     }
 }
 
@@ -57,22 +64,28 @@ impl AcceleratorCore for MemcpyCore {
                 let len = cmd.arg("len");
                 self.remaining = len;
                 self.active = true;
-                ctx.reader("src").request(src, len).expect("reader idle");
-                ctx.writer("dst").request(dst, len).expect("writer idle");
+                ctx.readers[self.src]
+                    .request(src, len)
+                    .expect("reader idle");
+                ctx.writers[self.dst]
+                    .request(dst, len)
+                    .expect("writer idle");
             }
             return;
         }
         // Move up to one bus beat per cycle from the read stream to the
         // write stream (the datapath is just a register).
-        while self.remaining > 0 && ctx.writer("dst").can_push() {
+        let src = &mut ctx.readers[self.src];
+        let dst = &mut ctx.writers[self.dst];
+        while self.remaining > 0 && dst.can_push() {
             let chunk_len = 64.min(self.remaining) as usize;
-            let Some(chunk) = ctx.reader("src").pop_bytes(chunk_len) else {
+            let Some(chunk) = src.pop_bytes(chunk_len) else {
                 break;
             };
-            ctx.writer("dst").push_chunk(&chunk);
+            dst.push_chunk(&chunk);
             self.remaining -= chunk_len as u64;
         }
-        if self.remaining == 0 && ctx.writer("dst").done() && ctx.respond(sim, 0) {
+        if self.remaining == 0 && dst.done() && ctx.respond(sim, 0) {
             self.active = false;
         }
     }
@@ -93,9 +106,11 @@ pub fn command_spec() -> AccelCommandSpec {
 /// Single-core memcpy configuration.
 pub fn config() -> AcceleratorConfig {
     AcceleratorConfig::new().with_system(
-        SystemConfig::new(SYSTEM, 1, command_spec(), || Box::new(MemcpyCore::new()))
-            .with_read(ReadChannelConfig::new("src", 64))
-            .with_write(WriteChannelConfig::new("dst", 64)),
+        SystemConfig::new(SYSTEM, 1, command_spec(), |ctx| {
+            Box::new(MemcpyCore::new(ctx))
+        })
+        .with_read(ReadChannelConfig::new("src", 64))
+        .with_write(WriteChannelConfig::new("dst", 64)),
     )
 }
 

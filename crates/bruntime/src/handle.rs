@@ -872,7 +872,7 @@ mod tests {
             ],
         );
         let cfg = AcceleratorConfig::new().with_system(
-            SystemConfig::new("Doubler", n_cores, spec, || {
+            SystemConfig::new("Doubler", n_cores, spec, |_| {
                 Box::new(DoubleCore {
                     remaining: 0,
                     active: false,

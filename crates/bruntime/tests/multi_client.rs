@@ -58,7 +58,7 @@ fn handle(n_cores: u32) -> FpgaHandle {
         ],
     );
     let cfg = AcceleratorConfig::new().with_system(
-        SystemConfig::new("AddK", n_cores, spec, || Box::<AddK>::default())
+        SystemConfig::new("AddK", n_cores, spec, |_| Box::<AddK>::default())
             .with_read(ReadChannelConfig::new("src", 4))
             .with_write(WriteChannelConfig::new("dst", 4)),
     );
@@ -148,7 +148,7 @@ fn poll_interval_trades_host_time_for_latency() {
             ],
         );
         let cfg = bcore::AcceleratorConfig::new().with_system(
-            bcore::SystemConfig::new("AddK", 1, spec, || Box::<AddK>::default())
+            bcore::SystemConfig::new("AddK", 1, spec, |_| Box::<AddK>::default())
                 .with_read(bcore::ReadChannelConfig::new("src", 4))
                 .with_write(bcore::WriteChannelConfig::new("dst", 4)),
         );

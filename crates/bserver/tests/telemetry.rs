@@ -310,7 +310,7 @@ fn watchdog_dumps_flight_recorder_on_injected_stall() {
     let black_hole_soc = |_| {
         let spec = AccelCommandSpec::new("swallow", vec![("x".to_owned(), FieldType::U(32))]);
         let cfg =
-            AcceleratorConfig::new().with_system(SystemConfig::new("BlackHole", 1, spec, || {
+            AcceleratorConfig::new().with_system(SystemConfig::new("BlackHole", 1, spec, |_| {
                 Box::<BlackHoleCore>::default()
             }));
         elaborate(cfg, &Platform::kria()).expect("elaboration")

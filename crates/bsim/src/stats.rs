@@ -171,14 +171,15 @@ impl Stats {
     }
 
     /// Adds `delta` to counter `name`, creating it at zero if needed.
+    /// Only the first write of a name allocates its key.
     pub fn add(&self, name: &str, delta: u64) {
-        *self
-            .inner
-            .lock()
-            .unwrap()
-            .counters
-            .entry(name.to_owned())
-            .or_insert(0) += delta;
+        let counters = &mut self.inner.lock().unwrap().counters;
+        match counters.get_mut(name) {
+            Some(count) => *count += delta,
+            None => {
+                counters.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     /// Increments counter `name` by one.
@@ -197,15 +198,14 @@ impl Stats {
             .unwrap_or(0)
     }
 
-    /// Records a histogram sample under `name`.
+    /// Records a histogram sample under `name`. Only the first sample of a
+    /// name allocates its key.
     pub fn record(&self, name: &str, value: u64) {
-        self.inner
-            .lock()
-            .unwrap()
-            .histograms
-            .entry(name.to_owned())
-            .or_default()
-            .record(value);
+        let histograms = &mut self.inner.lock().unwrap().histograms;
+        match histograms.get_mut(name) {
+            Some(h) => h.record(value),
+            None => histograms.entry(name.to_owned()).or_default().record(value),
+        }
     }
 
     /// A snapshot of histogram `name`, if any samples were recorded.
@@ -565,6 +565,18 @@ mod tests {
         stats.incr("a");
         let names: Vec<String> = stats.counters().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["a".to_owned(), "b".to_owned()]);
+    }
+
+    #[test]
+    fn a_zero_first_add_still_creates_the_counter() {
+        let stats = Stats::new();
+        stats.add("idle", 0);
+        stats.add("busy", 2);
+        stats.add("busy", 3);
+        assert_eq!(
+            stats.counters(),
+            vec![("busy".to_owned(), 5), ("idle".to_owned(), 0)]
+        );
     }
 
     #[test]

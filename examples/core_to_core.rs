@@ -101,14 +101,14 @@ fn main() {
     );
     let config = AcceleratorConfig::new()
         .with_system(
-            SystemConfig::new("Loader", 1, load_spec, || Box::<Loader>::default())
+            SystemConfig::new("Loader", 1, load_spec, |_| Box::<Loader>::default())
                 .with_read(ReadChannelConfig::new("src", 4))
                 .with_intra_out(IntraCoreMemoryPortOutConfig::new(
                     "feed", "Reducers", "inbox",
                 )),
         )
         .with_system(
-            SystemConfig::new("Reducers", 2, reduce_spec, || Box::<Reducer>::default())
+            SystemConfig::new("Reducers", 2, reduce_spec, |_| Box::<Reducer>::default())
                 .with_intra_in(IntraCoreMemoryPortInConfig::new("inbox", 33, 256).broadcast()),
         );
 
