@@ -226,8 +226,8 @@ impl AxiMemoryController {
     }
 
     /// Forces the DRAM model's idle-cycle skipping on or off (it defaults
-    /// to on unless `BSIM_NAIVE` is set). Cycle-exact either way; exposed
-    /// so equivalence tests can pin each mode explicitly.
+    /// to on; SoC elaboration makes it follow the fabric scheduler).
+    /// Cycle-exact either way.
     pub fn set_event_driven(&mut self, enabled: bool) {
         self.dram.set_event_driven(enabled);
     }
@@ -286,7 +286,7 @@ impl AxiMemoryController {
         self.read_order.entry(ar.id).or_default().push_back(seq);
         self.stats.incr("ar_accepted");
         // Occupancy at accept time: per-transaction, so it is identical
-        // under the naive and idle-skipping schedulers.
+        // under the naive and active-set schedulers.
         self.stats
             .record("read_outstanding", self.read_txns.len() as u64);
         self.stats.record(

@@ -7,11 +7,10 @@
 //! 3. **Same-ID reorder window** — the controller ordering rule the TLP
 //!    mechanism routes around.
 //! 4. **Burst length sweep** — the Figure 4 control experiment.
-//! 5. **Idle-skipping scheduler vs naive stepper** — host wall-clock on an
-//!    idle-heavy workload (cycle counts are identical by construction).
-//! 6. **Active-set scheduler vs idle-skipping vs naive** — host wall-clock
-//!    across idle-heavy, one-busy-core, and all-cores-busy load shapes.
-//! 7. **Dispatch-policy ablation** — the runtime server's pluggable
+//! 5. **Active-set scheduler vs naive stepper** — host wall-clock across
+//!    idle-heavy, one-busy-core, and all-cores-busy load shapes (cycle
+//!    counts are identical by construction).
+//! 6. **Dispatch-policy ablation** — the runtime server's pluggable
 //!    policies against the lock-arbitrated baseline on the seeded
 //!    open-loop schedule (tail latency, goodput, rejections).
 
@@ -200,79 +199,23 @@ fn ablation_dram_mapping(c: &mut Criterion) {
     group.finish();
 }
 
-/// Idle-skipping scheduler vs the naive stepper on an idle-heavy workload:
-/// one 16 KiB memcpy command, then a long quiescent stretch where only DRAM
-/// refresh has work. Simulated cycle counts are identical in both modes
-/// (the lockstep tests guard that); the datum here is host wall-clock.
-fn ablation_scheduler(c: &mut Criterion) {
-    const SRC: u64 = 0x10_0000;
-    const DST: u64 = 0x80_0000;
-    const BYTES: u64 = 16 * 1024;
-    const IDLE_GAP_CYCLES: u64 = 1_000_000;
-
-    let drive = |event_driven: bool| -> bsim::SimRate {
-        let timer = bsim::SimRateTimer::starting_at(0);
-        let mut soc = bcore::elaborate(bkernels::memcpy::config(), &Platform::aws_f1())
-            .expect("memcpy elaborates");
-        soc.set_event_driven(event_driven);
-        let payload: Vec<u8> = (0..BYTES).map(|i| (i % 251) as u8).collect();
-        soc.memory().borrow_mut().write(SRC, &payload);
-        let args = [
-            ("src".to_owned(), SRC),
-            ("dst".to_owned(), DST),
-            ("len".to_owned(), BYTES),
-        ]
-        .into_iter()
-        .collect();
-        let token = soc.send_command(0, 0, &args).expect("send");
-        soc.run_until_response(token, 100_000_000)
-            .expect("copy completes");
-        soc.run_for(IDLE_GAP_CYCLES);
-        timer.finish(soc.now())
-    };
-
-    let naive = drive(false);
-    let skipping = drive(true);
-    println!("ablation datum: naive stepper : {}", naive.render());
-    println!("ablation datum: idle-skipping : {}", skipping.render());
-    println!(
-        "ablation datum: scheduler speedup: {:.1}x host wall-clock over {} idle-heavy cycles",
-        naive.host_seconds / skipping.host_seconds,
-        naive.cycles
-    );
-
-    let mut group = c.benchmark_group("ablation_scheduler");
-    group.sample_size(3);
-    group.bench_function("naive_idle_heavy", |b| b.iter(|| black_box(drive(false))));
-    group.bench_function("idle_skipping_idle_heavy", |b| {
-        b.iter(|| black_box(drive(true)))
-    });
-    group.finish();
-}
-
-/// Active-set scheduler vs idle-skipping vs naive across three load
-/// shapes:
+/// Active-set scheduler vs the naive stepper across three load shapes:
 ///
 /// * **idle-heavy** — one memcpy command then a long refresh-only
-///   stretch: the shape fast-forward already collapses, so active-set
-///   should match idle-skipping.
+///   stretch: the shape whole-SoC fast-forward collapses.
 /// * **one-busy-core** — a many-core vector-add SoC with a single core
-///   streaming commands: there is *no* quiescent gap to skip, so
-///   idle-skipping degenerates to the naive stepper while the active-set
-///   heap only ticks the busy core and its memory path.
+///   streaming commands: there is *no* quiescent gap to skip, but the
+///   active-set heap only ticks the busy core and its memory path.
 /// * **all-cores-busy** — every core streaming: the honest no-win case;
-///   all three schedulers do proportional work.
+///   both schedulers do proportional work.
 ///
 /// Simulated cycle counts are identical across modes by construction
-/// (asserted here; guarded byte-for-byte by the lockstep and property
-/// suites). The data are host wall-clock and the ticked-vs-registered
+/// (asserted here; guarded byte-for-byte by the `scheduler_lockstep` and
+/// property suites). The data are host wall-clock and the ticked-vs-registered
 /// component-cycle economy reported in the `sim rate:` footer.
 fn ablation_active_set(c: &mut Criterion) {
-    use bsim::{SchedulerMode, SimRate, SimRateExt};
-    type Scenario<'a> = (
-        &'a str,
-        Box<dyn Fn(SchedulerMode) -> (SimRate, SimRateExt) + 'a>,
-    );
+    use bsim::{SimRate, SimRateExt};
+    type Scenario<'a> = (&'a str, Box<dyn Fn(bool) -> (SimRate, SimRateExt) + 'a>);
     // The widest vector-add SoC the AWS F1 floorplan holds (40 cores
     // elaborate, 44 do not): the schedulers' asymptotics only separate
     // when the idle majority is large.
@@ -281,14 +224,14 @@ fn ablation_active_set(c: &mut Criterion) {
     const VEC_BASE: u64 = 0x10_0000;
     const VEC_STRIDE: u64 = 0x10_0000;
 
-    let idle_heavy = |mode: SchedulerMode| -> (SimRate, SimRateExt) {
+    let idle_heavy = |event_driven: bool| -> (SimRate, SimRateExt) {
         const SRC: u64 = 0x10_0000;
         const DST: u64 = 0x80_0000;
         const BYTES: u64 = 16 * 1024;
         let timer = bsim::SimRateTimer::starting_at(0);
         let mut soc = bcore::elaborate(bkernels::memcpy::config(), &Platform::aws_f1())
             .expect("memcpy elaborates");
-        soc.set_scheduler_mode(mode);
+        soc.set_event_driven(event_driven);
         let payload: Vec<u8> = (0..BYTES).map(|i| (i % 251) as u8).collect();
         soc.memory().borrow_mut().write(SRC, &payload);
         let args = [
@@ -309,10 +252,10 @@ fn ablation_active_set(c: &mut Criterion) {
     // the rest never see a command. The timer covers only the simulated
     // region — SoC elaboration (floorplanning, wiring) is identical
     // across scheduler modes and would otherwise flatten the comparison.
-    let vecadd_run = |mode: SchedulerMode, busy: u32, rounds: u32| -> (SimRate, SimRateExt) {
+    let vecadd_run = |event_driven: bool, busy: u32, rounds: u32| -> (SimRate, SimRateExt) {
         let mut soc = bcore::elaborate(bkernels::vecadd::config(CORES), &Platform::aws_f1())
             .expect("vecadd elaborates");
-        soc.set_scheduler_mode(mode);
+        soc.set_event_driven(event_driven);
         let input: Vec<u8> = (0..ELES * 4).map(|i| (i % 251) as u8).collect();
         for core in 0..busy {
             soc.memory()
@@ -338,46 +281,36 @@ fn ablation_active_set(c: &mut Criterion) {
 
     let scenarios: [Scenario; 3] = [
         ("idle-heavy    ", Box::new(idle_heavy)),
-        ("one-busy-core ", Box::new(|mode| vecadd_run(mode, 1, 8))),
+        ("one-busy-core ", Box::new(|ev| vecadd_run(ev, 1, 8))),
         // All-cores-busy costs O(cores) in every mode; two rounds keep
         // the honest no-win datum affordable.
-        (
-            "all-cores-busy",
-            Box::new(|mode| vecadd_run(mode, CORES, 2)),
-        ),
+        ("all-cores-busy", Box::new(|ev| vecadd_run(ev, CORES, 2))),
     ];
     for (name, run) in &scenarios {
-        let (naive, _) = run(SchedulerMode::Naive);
-        let (skip, _) = run(SchedulerMode::IdleSkip);
-        let (active, ext) = run(SchedulerMode::ActiveSet);
-        assert_eq!(naive.cycles, skip.cycles, "{name}: idle-skip cycle drift");
+        let (naive, _) = run(false);
+        let (active, ext) = run(true);
         assert_eq!(
             naive.cycles, active.cycles,
             "{name}: active-set cycle drift"
         );
         println!("ablation datum: {name} naive     : {}", naive.render());
-        println!("ablation datum: {name} idle-skip : {}", skip.render());
         println!(
             "ablation datum: {name} active-set: {}",
             active.render_with(&ext)
         );
         println!(
-            "ablation datum: {name} active-set speedup: {:.1}x vs naive, {:.1}x vs idle-skip",
-            naive.host_seconds / active.host_seconds,
-            skip.host_seconds / active.host_seconds
+            "ablation datum: {name} active-set speedup: {:.1}x vs naive",
+            naive.host_seconds / active.host_seconds
         );
     }
 
     let mut group = c.benchmark_group("ablation_active_set");
     group.sample_size(3);
     group.bench_function("one_busy_core_naive", |b| {
-        b.iter(|| black_box(vecadd_run(SchedulerMode::Naive, 1, 8)))
-    });
-    group.bench_function("one_busy_core_idle_skipping", |b| {
-        b.iter(|| black_box(vecadd_run(SchedulerMode::IdleSkip, 1, 8)))
+        b.iter(|| black_box(vecadd_run(false, 1, 8)))
     });
     group.bench_function("one_busy_core_active_set", |b| {
-        b.iter(|| black_box(vecadd_run(SchedulerMode::ActiveSet, 1, 8)))
+        b.iter(|| black_box(vecadd_run(true, 1, 8)))
     });
     group.finish();
 }
@@ -710,7 +643,6 @@ criterion_group!(
     ablation_spill,
     ablation_bursts_and_ordering,
     ablation_dram_mapping,
-    ablation_scheduler,
     ablation_active_set,
     ablation_parallel_sweep,
     ablation_server_policies,

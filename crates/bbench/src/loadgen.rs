@@ -21,8 +21,9 @@
 //! reported quantities are integers (cycles and counts, percentiles from
 //! the `server/latency_cycles` histograms in `bsim::perf`), and the
 //! per-policy simulations run as independent [`crate::par`] jobs — so
-//! stdout is byte-identical at any `BBENCH_JOBS` and under any
-//! `bsim::SchedulerMode` (enforced by the `loadgen_determinism` test).
+//! stdout is byte-identical at any `BBENCH_JOBS` and under either `bsim`
+//! scheduler, `BSIM_NAIVE=1` or the default active set (enforced by the
+//! `loadgen_determinism` test).
 //!
 //! Runs can additionally carry telemetry ([`TelemetryOpts`]): request
 //! spans merged into one Perfetto trace per policy, a windowed metrics
@@ -617,12 +618,10 @@ fn telemetry_json(t: &PolicyTelemetry) -> String {
     }
     out.push(']');
     if let Some(path) = &t.trace_path {
-        let escaped = path
-            .display()
-            .to_string()
-            .replace('\\', "\\\\")
-            .replace('"', "\\\"");
-        out.push_str(&format!(",\"trace_file\":\"{escaped}\""));
+        out.push_str(&format!(
+            ",\"trace_file\":{}",
+            bsim::perf::json_string(&path.display().to_string())
+        ));
     }
     out.push('}');
     out
@@ -728,5 +727,22 @@ mod tests {
         let wide = render_json(1, &scale, None, BatchPolicy::Auto, &runs);
         bsim::perf::validate_json(&wide).expect("batched summary must be valid JSON");
         assert!(wide.contains("\"batch\":\"auto\","));
+    }
+
+    #[test]
+    fn trace_file_with_control_characters_stays_valid_json() {
+        let scale = LoadScale {
+            jobs: 4,
+            ..LoadScale::small()
+        };
+        let opts = TelemetryOpts::default();
+        let (mut runs, _) = run_on(1, &scale, 1, 1, BatchPolicy::Fixed(1), Some(opts));
+        for run in &mut runs {
+            run.telemetry.as_mut().expect("telemetry on").trace_path =
+                Some(PathBuf::from("out\tdir \"q\"\\/trace.json"));
+        }
+        let json = render_json(1, &scale, Some(1), BatchPolicy::Fixed(1), &runs);
+        bsim::perf::validate_json(&json).expect("a tab in the trace path must be escaped");
+        assert!(json.contains(r#""trace_file":"out\tdir \"q\"\\/trace.json""#));
     }
 }

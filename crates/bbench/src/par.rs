@@ -3,8 +3,8 @@
 //! Every figure in the paper's §III evaluation is a sweep of
 //! *independent* SoC simulations — Figure 4 is variants × sizes, Figure 6
 //! is per-benchmark single- and multi-core runs, Table III runs the FPGA
-//! and ASIC simulations next to the host-CPU baseline. The idle-skipping
-//! scheduler made each simulation fast; this module adds the orthogonal
+//! and ASIC simulations next to the host-CPU baseline. The active-set
+//! scheduler makes each simulation fast; this module adds the orthogonal
 //! axis: running the independent simulations concurrently on host
 //! threads without changing a single output byte.
 //!

@@ -1,9 +1,9 @@
 //! The load generator's stdout is a deterministic artifact: for a fixed
 //! seed it must be byte-identical at any `BBENCH_JOBS` worker count and
-//! under every `bsim` scheduler mode (`BSIM_NAIVE=1`, `BSIM_SCHED=skip`,
-//! and the default active-set scheduler). One test function owns the
-//! process-global scheduler environment, so the mode sweep cannot race a
-//! concurrent test in this binary.
+//! under both `bsim` schedulers (`BSIM_NAIVE=1` and the default active-set
+//! scheduler). One test function owns the process-global scheduler
+//! environment, so the mode sweep cannot race a concurrent test in this
+//! binary.
 
 use bbench::loadgen::{plan, render, run_on, LoadScale};
 use bserver::BatchPolicy;
@@ -17,10 +17,8 @@ fn loadgen_stdout_is_invariant_across_workers_and_scheduler_modes() {
     let seed = 42;
     assert_eq!(plan(seed, &scale).len(), scale.jobs);
 
-    let saved_naive = std::env::var("BSIM_NAIVE").ok();
-    let saved_sched = std::env::var("BSIM_SCHED").ok();
+    let saved = std::env::var("BSIM_NAIVE").ok();
     std::env::remove_var("BSIM_NAIVE");
-    std::env::remove_var("BSIM_SCHED");
 
     // Reference: default scheduler, exact serial path.
     let run = |workers| run_on(seed, &scale, 1, workers, BatchPolicy::Fixed(1), None);
@@ -36,35 +34,17 @@ fn loadgen_stdout_is_invariant_across_workers_and_scheduler_modes() {
         "stdout must be byte-identical at any worker count"
     );
 
-    // Scheduler-mode sweep (each mode re-read at SoC construction).
-    for (naive, sched, label) in [
-        (Some("1"), None, "BSIM_NAIVE=1"),
-        (None, Some("skip"), "BSIM_SCHED=skip"),
-        (None, Some("active"), "BSIM_SCHED=active"),
-    ] {
-        match naive {
-            Some(v) => std::env::set_var("BSIM_NAIVE", v),
-            None => std::env::remove_var("BSIM_NAIVE"),
-        }
-        match sched {
-            Some(v) => std::env::set_var("BSIM_SCHED", v),
-            None => std::env::remove_var("BSIM_SCHED"),
-        }
-        let (runs, c) = run(2);
-        assert_eq!(c, cycles, "{label}: cycle totals must match");
-        assert_eq!(
-            render(seed, &scale, 1, &runs),
-            reference,
-            "{label}: stdout must be byte-identical under every scheduler"
-        );
-    }
-
-    match saved_naive {
+    // The naive oracle (re-read at SoC construction).
+    std::env::set_var("BSIM_NAIVE", "1");
+    let (runs, c) = run(2);
+    match saved {
         Some(v) => std::env::set_var("BSIM_NAIVE", v),
         None => std::env::remove_var("BSIM_NAIVE"),
     }
-    match saved_sched {
-        Some(v) => std::env::set_var("BSIM_SCHED", v),
-        None => std::env::remove_var("BSIM_SCHED"),
-    }
+    assert_eq!(c, cycles, "BSIM_NAIVE=1: cycle totals must match");
+    assert_eq!(
+        render(seed, &scale, 1, &runs),
+        reference,
+        "BSIM_NAIVE=1: stdout must be byte-identical to the active set"
+    );
 }

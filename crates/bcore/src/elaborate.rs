@@ -650,6 +650,7 @@ pub fn elaborate_with(
             down_slave,
             memory.clone(),
         );
+        controller.set_event_driven(sim.event_driven());
         controller.attach_perf(&perf.set(&format!("mem{port}")));
         if opts.trace {
             controller.tracer().set_enabled(true);

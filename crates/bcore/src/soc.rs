@@ -256,7 +256,7 @@ impl SocSim {
         self.sim.step();
     }
 
-    /// Forces the event-aware scheduler (fabric fast-forward and DRAM
+    /// Forces the event-aware scheduler (fabric active set and DRAM
     /// idle-cycle skipping) on or off across the whole SoC. Both modes are
     /// cycle-exact; this exists so tests and benches can compare them.
     pub fn set_event_driven(&mut self, enabled: bool) {
@@ -265,24 +265,6 @@ impl SocSim {
         for controller in controllers {
             self.sim.get_mut(controller).set_event_driven(enabled);
         }
-    }
-
-    /// Pins a specific scheduler mode (naive oracle, idle-skipping, or the
-    /// active-set default) across the whole SoC. All three are cycle-exact;
-    /// the DRAM model's own idle skipping follows suit (on unless naive).
-    pub fn set_scheduler_mode(&mut self, mode: bsim::SchedulerMode) {
-        self.sim.set_scheduler_mode(mode);
-        let controllers = self.controllers.clone();
-        for controller in controllers {
-            self.sim
-                .get_mut(controller)
-                .set_event_driven(mode != bsim::SchedulerMode::Naive);
-        }
-    }
-
-    /// The scheduler mode currently driving the fabric.
-    pub fn scheduler_mode(&self) -> bsim::SchedulerMode {
-        self.sim.scheduler_mode()
     }
 
     /// Advances `cycles` fabric cycles.

@@ -28,7 +28,7 @@ pub struct ChannelStats {
     pub refreshes: u64,
     /// DRAM cycles the channel was blocked by an in-progress refresh
     /// (tRFC per refresh, charged at refresh start so the count is
-    /// identical under the naive and idle-skipping schedulers).
+    /// identical under the naive and active-set schedulers).
     pub refresh_stall_cycles: u64,
     /// DRAM cycles during which the data bus carried data.
     pub data_bus_busy_cycles: u64,

@@ -1,8 +1,9 @@
 //! End-to-end lockstep guard for the schedulers: the same full-SoC
 //! workload (elaborated memcpy core, AXI interconnect, memory controller,
-//! DRAM with refresh) is driven once per [`bsim::SchedulerMode`] — naive
-//! cycle-by-cycle stepping, idle-skipping fast-forward, and the active-set
-//! heap scheduler — through a command / long idle gap / command sequence,
+//! DRAM with refresh) is driven once by the naive cycle-by-cycle oracle
+//! and once by the active-set heap scheduler with fast-forward
+//! ([`bcore::SocSim::set_event_driven`]) through a command / long idle
+//! gap / command sequence,
 //! and every observable must be byte-identical: response cycles, final
 //! `now`, copied bytes, DRAM statistics (refreshes across the skipped gap
 //! included), controller counters, and the full performance-counter
@@ -12,7 +13,6 @@
 use bcore::elaborate;
 use bkernels::memcpy;
 use bplatform::Platform;
-use bsim::SchedulerMode;
 
 const SRC: u64 = 0x10_0000;
 const DST: u64 = 0x80_0000;
@@ -31,9 +31,9 @@ struct Run {
     counters: Vec<(String, u64)>,
 }
 
-fn drive(mode: SchedulerMode) -> Run {
+fn drive(event_driven: bool) -> Run {
     let mut soc = elaborate(memcpy::config(), &Platform::aws_f1()).expect("memcpy elaborates");
-    soc.set_scheduler_mode(mode);
+    soc.set_event_driven(event_driven);
     soc.set_profiling(true);
     let payload: Vec<u8> = (0..BYTES).map(|i| (i % 251) as u8).collect();
     soc.memory().borrow_mut().write(SRC, &payload);
@@ -80,33 +80,25 @@ fn drive(mode: SchedulerMode) -> Run {
 }
 
 #[test]
-fn all_scheduler_modes_are_byte_identical() {
-    let naive = drive(SchedulerMode::Naive);
-    for mode in [SchedulerMode::IdleSkip, SchedulerMode::ActiveSet] {
-        let run = drive(mode);
-        assert_eq!(
-            naive.elapsed_first, run.elapsed_first,
-            "{mode:?}: first response cycle diverged"
-        );
-        assert_eq!(
-            naive.elapsed_second, run.elapsed_second,
-            "{mode:?}: second response cycle diverged"
-        );
-        assert_eq!(
-            naive.final_now, run.final_now,
-            "{mode:?}: final cycle diverged"
-        );
-        assert_eq!(naive.copied, run.copied, "{mode:?}: copied bytes diverged");
-        assert_eq!(naive.dram, run.dram, "{mode:?}: DRAM stats diverged");
-        assert_eq!(
-            naive.controller, run.controller,
-            "{mode:?}: controller stats diverged"
-        );
-        assert_eq!(
-            naive.counters, run.counters,
-            "{mode:?}: perf counters diverged"
-        );
-    }
+fn naive_and_active_set_are_byte_identical() {
+    let naive = drive(false);
+    let run = drive(true);
+    assert_eq!(
+        naive.elapsed_first, run.elapsed_first,
+        "first response cycle diverged"
+    );
+    assert_eq!(
+        naive.elapsed_second, run.elapsed_second,
+        "second response cycle diverged"
+    );
+    assert_eq!(naive.final_now, run.final_now, "final cycle diverged");
+    assert_eq!(naive.copied, run.copied, "copied bytes diverged");
+    assert_eq!(naive.dram, run.dram, "DRAM stats diverged");
+    assert_eq!(
+        naive.controller, run.controller,
+        "controller stats diverged"
+    );
+    assert_eq!(naive.counters, run.counters, "perf counters diverged");
 
     // The gap really was refresh-active — otherwise this test would not
     // exercise the DRAM wake-up math it exists to guard.

@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex};
 
 use bcore::{CommandToken, MmioRegister, SocSim};
 use bplatform::AddressSpace;
-use bsim::Cycle;
+use bsim::{Cycle, SparseMemory};
 
 use crate::alloc::{AllocError, DeviceAllocator};
 
@@ -131,8 +131,10 @@ impl std::error::Error for CallError {}
 struct Inner {
     soc: SocSim,
     allocator: DeviceAllocator,
-    /// Host-side shadow buffers for discrete platforms.
-    host_shadow: HashMap<u64, Vec<u8>>,
+    /// Host-side shadow of every live allocation on discrete platforms,
+    /// at its device address. Sparse: only pages the host wrote or copied
+    /// back are resident, so a whole-region allocation costs nothing.
+    host_image: SparseMemory,
     opts: RuntimeOptions,
     stats: RuntimeStats,
     /// Default budget for blocking `get`s, fabric cycles.
@@ -185,7 +187,7 @@ impl FpgaHandle {
             inner: Arc::new(Mutex::new(Inner {
                 soc,
                 allocator,
-                host_shadow: HashMap::new(),
+                host_image: SparseMemory::new(),
                 opts,
                 stats: RuntimeStats::default(),
                 get_timeout_cycles: 2_000_000_000,
@@ -213,9 +215,6 @@ impl FpgaHandle {
             .allocator
             .allocation_len(addr)
             .expect("just allocated");
-        if inner.soc.platform().address_space == AddressSpace::Discrete {
-            inner.host_shadow.insert(addr, vec![0u8; len as usize]);
-        }
         Ok(RemotePtr { addr, len })
     }
 
@@ -234,7 +233,10 @@ impl FpgaHandle {
                 requested: ptr.len,
                 high_water: inner.allocator.high_water_mark(),
             })?;
-        inner.host_shadow.remove(&ptr.addr);
+        // Drop the host pages so a later allocation here reads zeros.
+        inner
+            .host_image
+            .copy_range(&SparseMemory::new(), ptr.addr, ptr.len);
         Ok(())
     }
 
@@ -260,15 +262,7 @@ impl FpgaHandle {
                     .borrow_mut()
                     .write(ptr.addr + offset, data);
             }
-            AddressSpace::Discrete => {
-                let base = ptr.addr;
-                let shadow = inner
-                    .host_shadow
-                    .get_mut(&base)
-                    .expect("live discrete allocation has a shadow");
-                let off = offset as usize;
-                shadow[off..off + data.len()].copy_from_slice(data);
-            }
+            AddressSpace::Discrete => inner.host_image.write(ptr.addr + offset, data),
         }
     }
 
@@ -282,10 +276,7 @@ impl FpgaHandle {
         let inner = self.inner.lock().expect("runtime lock poisoned");
         match inner.soc.platform().address_space {
             AddressSpace::Shared => inner.soc.memory().borrow().read_vec(ptr.addr + offset, len),
-            AddressSpace::Discrete => {
-                let shadow = &inner.host_shadow[&ptr.addr];
-                shadow[offset as usize..offset as usize + len].to_vec()
-            }
+            AddressSpace::Discrete => inner.host_image.read_vec(ptr.addr + offset, len),
         }
     }
 
@@ -313,11 +304,14 @@ impl FpgaHandle {
         if inner.soc.platform().address_space == AddressSpace::Shared {
             return;
         }
-        let data = inner.host_shadow[&ptr.addr].clone();
-        inner.soc.memory().borrow_mut().write(ptr.addr, &data);
+        inner
+            .soc
+            .memory()
+            .borrow_mut()
+            .copy_range(&inner.host_image, ptr.addr, ptr.len);
         let link = inner.soc.platform().host_link;
-        let ns = link.dma_setup_ns + data.len() as u64 * 1_000_000_000 / link.dma_bytes_per_sec;
-        inner.stats.dma_to_device_bytes += data.len() as u64;
+        let ns = link.dma_setup_ns + ptr.len * 1_000_000_000 / link.dma_bytes_per_sec;
+        inner.stats.dma_to_device_bytes += ptr.len;
         inner.advance_ns(ns);
     }
 
@@ -327,15 +321,13 @@ impl FpgaHandle {
         if inner.soc.platform().address_space == AddressSpace::Shared {
             return;
         }
-        let data = inner
-            .soc
-            .memory()
-            .borrow()
-            .read_vec(ptr.addr, ptr.len as usize);
+        let memory = inner.soc.memory();
+        inner
+            .host_image
+            .copy_range(&memory.borrow(), ptr.addr, ptr.len);
         let link = inner.soc.platform().host_link;
-        let ns = link.dma_setup_ns + data.len() as u64 * 1_000_000_000 / link.dma_bytes_per_sec;
-        inner.stats.dma_from_device_bytes += data.len() as u64;
-        inner.host_shadow.insert(ptr.addr, data);
+        let ns = link.dma_setup_ns + ptr.len * 1_000_000_000 / link.dma_bytes_per_sec;
+        inner.stats.dma_from_device_bytes += ptr.len;
         inner.advance_ns(ns);
     }
 
@@ -1082,6 +1074,31 @@ mod tests {
         assert_eq!(st0.live_bytes, 0);
         assert_eq!(s1.stats().mallocs, 1);
         assert_eq!(s1.stats().frees, 1);
+    }
+
+    #[test]
+    fn whole_region_allocation_round_trips_through_a_sparse_shadow() {
+        let handle = make_handle(&Platform::sim(), 1);
+        let total = handle.with_soc(|soc| {
+            assert_eq!(soc.platform().address_space, AddressSpace::Discrete);
+            soc.platform().mem_size
+        });
+        let whole = handle.malloc(total).unwrap();
+        handle.write_at(whole, 0, &[0x5A]);
+        handle.write_at(whole, total - 1, &[0xA5]);
+        handle.copy_to_fpga(whole);
+        handle.write_at(whole, total - 1, &[0]);
+        handle.copy_from_fpga(whole);
+        assert_eq!(handle.read_at(whole, total - 1, 1), vec![0xA5]);
+        let resident = handle.inner.lock().unwrap().host_image.resident_pages();
+        assert!(resident <= 2, "{resident} host pages resident");
+        handle.free(whole).unwrap();
+        let again = handle.malloc(4096).unwrap();
+        assert_eq!(
+            handle.read_at(again, 0, 1),
+            vec![0],
+            "freed pages read zero"
+        );
     }
 
     #[test]

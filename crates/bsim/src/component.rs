@@ -1,25 +1,22 @@
 //! The [`Component`] trait and the [`Simulation`] driver.
 //!
-//! The driver supports three cycle-exact scheduling modes
-//! ([`SchedulerMode`]):
+//! The driver has two cycle-exact schedulers, picked with
+//! [`Simulation::set_event_driven`]:
 //!
 //! * **Naive** — tick every component every cycle: the oracle.
-//! * **Idle-skipping** — execute cycles exactly like naive, but when every
-//!   component declares (via [`Component::next_event`]) that its next
-//!   activity lies in the future, fast-forward the base clock across the
-//!   globally quiescent gap in one jump.
-//! * **Active-set** (the default) — additionally make each *executed*
-//!   cycle cost proportional to the number of *awake* components: every
-//!   registered component carries a due-cycle derived from its
-//!   `next_event`, maintained in a min-heap keyed by base cycle, and a
-//!   cycle ticks only the components due now. Channel activity re-arms
-//!   sleeping consumers through [`Waker`] hooks (see
-//!   [`Component::register_wakes`]); components that register no hooks
-//!   stay in an always-tick fallback set with exact naive semantics.
+//! * **Active-set** (the default) — make each *executed* cycle cost
+//!   proportional to the number of *awake* components: every registered
+//!   component carries a due-cycle derived from its
+//!   [`Component::next_event`], maintained in a min-heap keyed by base
+//!   cycle, and a cycle ticks only the components due now. When nothing
+//!   is due, the base clock fast-forwards across the globally quiescent
+//!   gap in one jump. Channel activity re-arms sleeping consumers through
+//!   [`Waker`] hooks (see [`Component::register_wakes`]); components that
+//!   register no hooks stay in an always-tick fallback set with exact
+//!   naive semantics.
 //!
-//! All three modes produce bit-identical cycle counts and component
-//! state. See `DESIGN.md` for the full contract and the lockstep guard
-//! mode.
+//! Both produce bit-identical cycle counts and component state. See
+//! `DESIGN.md` for the full contract.
 //!
 //! Ownership follows the arena model (see [`SimCtx`]): the simulation
 //! owns all component and channel storage in `Vec`s, and the handles this
@@ -80,9 +77,7 @@ pub trait Component {
     ///
     /// Returning `Some(e)` with `e <= now` is treated as `Some(now + 1)`.
     /// The promise only needs to hold while the component's inputs are
-    /// untouched: under the idle-skipping scheduler every due component is
-    /// re-queried on every executed cycle, and under the active-set
-    /// scheduler an input change re-arms the component through its
+    /// untouched: an input change re-arms the component through its
     /// [wake hooks](Component::register_wakes) (or, for components without
     /// hooks, through the always-tick fallback set).
     fn next_event(&self, ctx: &SimCtx, now: Cycle) -> Option<Cycle> {
@@ -110,24 +105,6 @@ pub trait Component {
     fn register_wakes(&self, ctx: &SimCtx, waker: &Waker) {
         let _ = (ctx, waker);
     }
-}
-
-/// Which driver loop a [`Simulation`] uses. All three modes are
-/// cycle-exact with one another; they differ only in host work per
-/// simulated cycle; `DESIGN.md` describes each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerMode {
-    /// Tick every component on every cycle. The correctness oracle
-    /// (`BSIM_NAIVE=1`).
-    Naive,
-    /// Naive execution plus whole-simulation fast-forward across globally
-    /// quiescent gaps (`BSIM_SCHED=skip`).
-    IdleSkip,
-    /// Per-component scheduling: each executed cycle ticks only the
-    /// components that are due, woken, or in the always-tick fallback
-    /// set, plus the same fast-forward as idle-skipping. The default
-    /// (`BSIM_SCHED=active`).
-    ActiveSet,
 }
 
 /// An inspectable handle to a component that has been added to a
@@ -190,8 +167,8 @@ struct Registered {
     /// Index into [`Simulation::groups`] of this component's clock-domain
     /// group, which holds the divider and next-due bookkeeping.
     group: usize,
-    /// Cycles of the component's own clock elapsed so far (ticks executed
-    /// plus ticks skipped as proven no-ops). Under the active-set
+    /// Cycles of the component's own clock elapsed so far: the naive
+    /// loop's tick counter (it never skips). Under the active-set
     /// scheduler this may lag for sleeping components; the authoritative
     /// value is always [`Simulation::fires_before`], with which this field
     /// is resynchronised on every tick and on scheduler-mode changes.
@@ -225,8 +202,6 @@ struct DividerGroup {
     next_due: Cycle,
     /// Scratch: whether this group ticks on the cycle being executed.
     due: bool,
-    /// Scratch: local cycles to credit to members during a fast-forward.
-    pending_fires: Cycle,
 }
 
 /// A host-side wake source: given the arena, report the earliest cycle
@@ -239,14 +214,13 @@ type WakeSource = Box<dyn Fn(&SimCtx) -> Option<Cycle> + Send>;
 /// tick once every `divider` base cycles, and observe their *local* cycle
 /// count, so channel latencies stay meaningful within a domain.
 ///
-/// By default the driver uses the [active-set](SchedulerMode::ActiveSet)
-/// scheduler: executed cycles tick only the components that are due (see
-/// [`Component::next_event`] and [`Component::register_wakes`]) and
-/// globally quiescent gaps are fast-forwarded. Set the `BSIM_NAIVE`
-/// environment variable to a non-empty value other than `0` (or call
+/// By default the driver uses the active-set scheduler: executed cycles
+/// tick only the components that are due (see [`Component::next_event`]
+/// and [`Component::register_wakes`]) and globally quiescent gaps are
+/// fast-forwarded. Set the `BSIM_NAIVE` environment variable to a
+/// non-empty value other than `0` (or call
 /// [`Simulation::set_event_driven`]`(false)`) to force the naive
-/// cycle-by-cycle loop, or `BSIM_SCHED=skip` for the idle-skipping
-/// scheduler; results are bit-identical in every mode, only slower.
+/// cycle-by-cycle loop; results are bit-identical, only slower.
 ///
 /// A `Simulation` owns its entire object graph — components, channels,
 /// wake queue — through the [`SimCtx`] arena, so it is `Send`: build an
@@ -276,7 +250,8 @@ pub struct Simulation {
     /// move it forward).
     watch_horizon: Cell<Option<Cycle>>,
     now: Cycle,
-    mode: SchedulerMode,
+    /// `true` selects the active-set scheduler, `false` the naive loop.
+    event_driven: bool,
     /// Active-set: min-heap of `(due_cycle, component_index)` entries.
     /// Entries are lazily invalidated: one is live iff its cycle equals
     /// the component's `sched_at`.
@@ -317,17 +292,8 @@ impl Default for Simulation {
     }
 }
 
-fn scheduler_mode_from_env() -> SchedulerMode {
-    if let Ok(v) = std::env::var("BSIM_NAIVE") {
-        if !v.is_empty() && v != "0" {
-            return SchedulerMode::Naive;
-        }
-    }
-    match std::env::var("BSIM_SCHED").as_deref() {
-        Ok("naive") => SchedulerMode::Naive,
-        Ok("skip") | Ok("idle-skip") => SchedulerMode::IdleSkip,
-        _ => SchedulerMode::ActiveSet,
-    }
+fn event_driven_from_env() -> bool {
+    !std::env::var("BSIM_NAIVE").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 fn verify_idle_from_env() -> bool {
@@ -337,8 +303,8 @@ fn verify_idle_from_env() -> bool {
 
 impl Simulation {
     /// Creates an empty simulation at cycle 0 using the active-set
-    /// scheduler, unless the `BSIM_NAIVE` or `BSIM_SCHED` environment
-    /// variables select another [`SchedulerMode`].
+    /// scheduler, unless the `BSIM_NAIVE` environment variable selects the
+    /// naive loop.
     pub fn new() -> Self {
         Simulation {
             ctx: SimCtx::new(),
@@ -348,7 +314,7 @@ impl Simulation {
             watched: Vec::new(),
             watch_horizon: Cell::new(None),
             now: 0,
-            mode: scheduler_mode_from_env(),
+            event_driven: event_driven_from_env(),
             heap: BinaryHeap::new(),
             polled: Vec::new(),
             due_queue: BinaryHeap::new(),
@@ -389,50 +355,35 @@ impl Simulation {
         crate::chan::make_channel(&mut self.ctx, capacity, latency)
     }
 
-    /// Enables or disables event-driven scheduling. Cycle counts and
-    /// component state are identical either way; this only affects host
-    /// wall-clock time. Useful for A/B guards — see [`crate::Lockstep`].
+    /// Selects the active-set scheduler (`true`) or the naive
+    /// cycle-by-cycle oracle (`false`). Cycle counts and component state
+    /// are identical either way; this only affects host wall-clock time,
+    /// which is what A/B equivalence tests compare.
     ///
-    /// `true` selects [`SchedulerMode::ActiveSet`], `false`
-    /// [`SchedulerMode::Naive`]; use
-    /// [`Simulation::set_scheduler_mode`] to pick idle-skipping.
+    /// Safe at any between-cycles point, including mid-run: component
+    /// local-cycle counters and the active-set schedule are resynchronised
+    /// as needed.
     pub fn set_event_driven(&mut self, enabled: bool) {
-        self.set_scheduler_mode(if enabled {
-            SchedulerMode::ActiveSet
-        } else {
-            SchedulerMode::Naive
-        });
-    }
-
-    /// Whether any event-driven scheduler (idle-skipping or active-set)
-    /// is selected.
-    pub fn event_driven(&self) -> bool {
-        self.mode != SchedulerMode::Naive
-    }
-
-    /// The scheduling mode in use.
-    pub fn scheduler_mode(&self) -> SchedulerMode {
-        self.mode
-    }
-
-    /// Switches scheduling modes mid-run. Safe at any between-cycles
-    /// point: component local-cycle counters and the active-set schedule
-    /// are resynchronised as needed.
-    pub fn set_scheduler_mode(&mut self, mode: SchedulerMode) {
-        if mode == self.mode {
+        if enabled == self.event_driven {
             return;
         }
-        if self.mode == SchedulerMode::ActiveSet {
+        if self.event_driven {
             // Leaving active-set: sleeping components' local counters lag
             // their domain; resync everyone from the fire arithmetic.
             for idx in 0..self.components.len() {
                 self.components[idx].local_cycles = self.fires_before(idx, self.now);
             }
         }
-        self.mode = mode;
-        if mode == SchedulerMode::ActiveSet {
+        self.event_driven = enabled;
+        if enabled {
             self.rebuild_schedule();
         }
+    }
+
+    /// Whether the active-set scheduler (rather than the naive loop) is
+    /// selected.
+    pub fn event_driven(&self) -> bool {
+        self.event_driven
     }
 
     /// Enables the debug conservatism check: on every executed cycle the
@@ -480,7 +431,7 @@ impl Simulation {
             // A component's first tick is never skipped (it has not yet
             // had a chance to declare anything), so schedule it for its
             // domain's next fire.
-            if self.mode == SchedulerMode::ActiveSet {
+            if self.event_driven {
                 self.schedule(idx, first_due);
             }
         } else {
@@ -502,7 +453,6 @@ impl Simulation {
             divider,
             next_due,
             due: false,
-            pending_fires: 0,
         });
         self.groups.len() - 1
     }
@@ -649,7 +599,7 @@ impl Simulation {
 
     /// Executes one base cycle in the current mode and advances `now`.
     fn execute_cycle(&mut self) {
-        if self.mode == SchedulerMode::ActiveSet {
+        if self.event_driven {
             return self.execute_cycle_active();
         }
         let now = self.now;
@@ -871,7 +821,7 @@ impl Simulation {
     /// send, so no hook fires; this bounds that blind spot to one
     /// `next_event` query per component per *call* rather than per cycle.
     fn rearm_hooked(&mut self) {
-        if self.mode != SchedulerMode::ActiveSet {
+        if !self.event_driven {
             return;
         }
         for idx in 0..self.components.len() {
@@ -910,7 +860,7 @@ impl Simulation {
     /// the about-to-be-skipped gap `[now, target)` means its hooks missed
     /// an input change (the active-set horizon trusted a stale `None`).
     fn verify_skip(&self, target: Cycle) {
-        if !self.verify_idle || self.mode != SchedulerMode::ActiveSet {
+        if !self.verify_idle || !self.event_driven {
             return;
         }
         for idx in 0..self.components.len() {
@@ -966,11 +916,7 @@ impl Simulation {
     /// (the common dense case short-circuits after one query), and
     /// `Cycle::MAX` if everything is idle indefinitely.
     fn earliest_event(&mut self) -> Cycle {
-        let components = if self.mode == SchedulerMode::ActiveSet {
-            self.active_component_horizon()
-        } else {
-            self.earliest_component_event()
-        };
+        let components = self.active_component_horizon();
         if components <= self.now {
             return self.now;
         }
@@ -979,22 +925,6 @@ impl Simulation {
             Some(w) => components.min(w),
             None => components,
         }
-    }
-
-    /// [`Simulation::earliest_event`] restricted to registered components
-    /// (idle-skipping mode: re-query every component).
-    fn earliest_component_event(&self) -> Cycle {
-        let mut earliest = Cycle::MAX;
-        for idx in 0..self.components.len() {
-            let Some(base) = self.component_event_base(idx) else {
-                continue;
-            };
-            if base <= self.now {
-                return self.now;
-            }
-            earliest = earliest.min(base);
-        }
-        earliest
     }
 
     /// Active-set component horizon: pending wakes are folded into the
@@ -1057,27 +987,16 @@ impl Simulation {
     }
 
     /// Fast-forwards the base clock to `target` without executing ticks.
-    /// Sound only when every tick in `[now, target)` is a proven no-op;
-    /// each skipped component's local cycle counter is credited with the
-    /// ticks its domain would have scheduled in the gap, so subsequent
-    /// ticks observe exactly the local `now` values the naive loop would
-    /// have passed.
+    /// Sound only when every tick in `[now, target)` is a proven no-op.
+    /// Only the active-set scheduler skips, and it derives each tick's
+    /// local cycle from the fire arithmetic, so no per-component counter
+    /// needs crediting: each domain's next fire simply moves past the gap.
     fn skip_to(&mut self, target: Cycle) {
         debug_assert!(target > self.now);
         self.skipped_cycles += target - self.now;
         for g in &mut self.groups {
             if g.next_due < target {
-                let fires = (target - g.next_due).div_ceil(g.divider);
-                g.pending_fires = fires;
-                g.next_due += fires * g.divider;
-            } else {
-                g.pending_fires = 0;
-            }
-        }
-        if self.mode != SchedulerMode::ActiveSet {
-            let groups = &self.groups;
-            for reg in &mut self.components {
-                reg.local_cycles += groups[reg.group].pending_fires;
+                g.next_due += (target - g.next_due).div_ceil(g.divider) * g.divider;
             }
         }
         self.now = target;
@@ -1089,7 +1008,7 @@ impl Simulation {
         self.rearm_hooked();
         let end = self.now.saturating_add(cycles);
         while self.now < end {
-            if self.mode != SchedulerMode::Naive {
+            if self.event_driven {
                 let earliest = self.earliest_event();
                 if earliest > self.now {
                     let target = earliest.min(end);
@@ -1138,8 +1057,8 @@ impl Simulation {
     /// ## Strides never race wakes
     ///
     /// A stride larger than the gap to the first wake cannot observe
-    /// completion on a different cycle than `stride == 1` would, in any
-    /// [`SchedulerMode`]: predicate-visible state is only mutated by
+    /// completion on a different cycle than `stride == 1` would, under
+    /// either scheduler: predicate-visible state is only mutated by
     /// component `tick`s (and by `done` itself), never during a
     /// fast-forward jump, and the cycles at which `done` can first turn
     /// true are exactly the cycles a watched channel or quiescence forces
@@ -1169,10 +1088,10 @@ impl Simulation {
             }
             // A due wake source means the host may be able to react right
             // now (e.g. a watched response just became visible): force a
-            // `done` check regardless of the stride, in every scheduler
-            // mode, so strided results do not depend on the mode.
+            // `done` check regardless of the stride, under either
+            // scheduler, so strided results do not depend on it.
             let watch_due = self.earliest_watch().is_some_and(|w| w <= self.now);
-            let jump_target = if self.mode != SchedulerMode::Naive {
+            let jump_target = if self.event_driven {
                 let e = self.earliest_event();
                 (e > self.now).then(|| e.min(end))
             } else {
@@ -1209,7 +1128,7 @@ impl std::fmt::Debug for Simulation {
         f.debug_struct("Simulation")
             .field("now", &self.now)
             .field("components", &self.components.len())
-            .field("mode", &self.mode)
+            .field("event_driven", &self.event_driven)
             .finish()
     }
 }
@@ -1505,33 +1424,22 @@ mod tests {
     #[test]
     fn bsim_naive_env_disables_fast_forward() {
         // Save and clear the scheduler env so this test is meaningful even
-        // when the whole suite runs under BSIM_NAIVE=1 / BSIM_SCHED=... (the
-        // CI naive-oracle matrix leg does exactly that).
-        let saved_naive = std::env::var("BSIM_NAIVE").ok();
-        let saved_sched = std::env::var("BSIM_SCHED").ok();
+        // when the whole suite runs under BSIM_NAIVE=1 (the CI naive-oracle
+        // job does exactly that).
+        let saved = std::env::var("BSIM_NAIVE").ok();
         std::env::remove_var("BSIM_NAIVE");
-        std::env::remove_var("BSIM_SCHED");
-        assert!(
-            Simulation::new().event_driven(),
-            "fast-forward should default on"
-        );
-        assert_eq!(Simulation::new().scheduler_mode(), SchedulerMode::ActiveSet);
+        let default = Simulation::new();
         std::env::set_var("BSIM_NAIVE", "1");
         let naive = Simulation::new();
         std::env::set_var("BSIM_NAIVE", "0");
-        std::env::set_var("BSIM_SCHED", "skip");
-        let skip = Simulation::new();
-        match saved_naive {
+        let zero = Simulation::new();
+        match saved {
             Some(v) => std::env::set_var("BSIM_NAIVE", v),
             None => std::env::remove_var("BSIM_NAIVE"),
         }
-        match saved_sched {
-            Some(v) => std::env::set_var("BSIM_SCHED", v),
-            None => std::env::remove_var("BSIM_SCHED"),
-        }
+        assert!(default.event_driven(), "fast-forward should default on");
         assert!(!naive.event_driven());
-        assert_eq!(naive.scheduler_mode(), SchedulerMode::Naive);
-        assert_eq!(skip.scheduler_mode(), SchedulerMode::IdleSkip);
+        assert!(zero.event_driven(), "BSIM_NAIVE=0 keeps the default");
     }
 
     #[test]
@@ -1598,10 +1506,10 @@ mod tests {
 
     #[test]
     fn hooked_sink_sleeps_and_wakes_on_send() {
-        let run = |mode: SchedulerMode| {
+        let run = |event_driven: bool| {
             let mut sim = Simulation::new();
             let (tx, rx) = sim.channel::<u64>(4);
-            sim.set_scheduler_mode(mode);
+            sim.set_event_driven(event_driven);
             sim.add(OneShot {
                 tx,
                 delay: 500,
@@ -1620,8 +1528,8 @@ mod tests {
                 sim.ticked_component_cycles(),
             )
         };
-        let naive = run(SchedulerMode::Naive);
-        let active = run(SchedulerMode::ActiveSet);
+        let naive = run(false);
+        let active = run(true);
         // Observable results are identical...
         assert_eq!(naive.0, active.0);
         assert_eq!(naive.1, active.1);
@@ -1642,7 +1550,7 @@ mod tests {
     fn ticked_vs_registered_component_cycles() {
         let mut sim = Simulation::new();
         let (tx, rx) = sim.channel::<u64>(4);
-        sim.set_scheduler_mode(SchedulerMode::ActiveSet);
+        sim.set_event_driven(true);
         sim.add(OneShot {
             tx,
             delay: 100,
@@ -1670,10 +1578,10 @@ mod tests {
     /// the naive in-order loop would.
     #[test]
     fn same_cycle_wake_matches_naive_ordering() {
-        let run = |mode: SchedulerMode, producer_first: bool| {
+        let run = |event_driven: bool, producer_first: bool| {
             let mut sim = Simulation::new();
             let (tx, rx) = sim.channel_with_latency::<u64>(4, 0);
-            sim.set_scheduler_mode(mode);
+            sim.set_event_driven(event_driven);
             let producer = OneShot {
                 tx,
                 delay: 50,
@@ -1696,8 +1604,8 @@ mod tests {
             sim.get(s).got.clone()
         };
         for producer_first in [true, false] {
-            let naive = run(SchedulerMode::Naive, producer_first);
-            let active = run(SchedulerMode::ActiveSet, producer_first);
+            let naive = run(false, producer_first);
+            let active = run(true, producer_first);
             assert_eq!(
                 naive, active,
                 "same-cycle wake ordering diverged (producer_first={producer_first})"
@@ -1705,23 +1613,20 @@ mod tests {
         }
         // Producer at index 0, sink at index 1: the zero-latency send is
         // observed the same cycle. Reversed registration: one cycle later.
-        assert_eq!(run(SchedulerMode::ActiveSet, true), vec![(50, 50)]);
-        assert_eq!(run(SchedulerMode::ActiveSet, false), vec![(51, 50)]);
+        assert_eq!(run(true, true), vec![(50, 50)]);
+        assert_eq!(run(true, false), vec![(51, 50)]);
     }
 
     #[test]
     fn mode_switching_mid_run_stays_cycle_exact() {
-        let sequence = [
-            SchedulerMode::ActiveSet,
-            SchedulerMode::Naive,
-            SchedulerMode::IdleSkip,
-            SchedulerMode::ActiveSet,
-        ];
+        // Active set -> naive -> active set -> naive -> active set, against
+        // an all-naive reference.
+        let sequence = [true, false, true, false, true];
         let run = |switch: bool| {
             let mut sim = Simulation::new();
             let (tx, rx) = sim.channel::<u64>(4);
             if !switch {
-                sim.set_scheduler_mode(SchedulerMode::Naive);
+                sim.set_event_driven(false);
             }
             sim.add(OneShot {
                 tx,
@@ -1741,9 +1646,9 @@ mod tests {
                 got: Vec::new(),
                 ticks: 0,
             });
-            for mode in sequence {
+            for event_driven in sequence {
                 if switch {
-                    sim.set_scheduler_mode(mode);
+                    sim.set_event_driven(event_driven);
                 }
                 sim.run_for(50);
             }
@@ -1786,7 +1691,7 @@ mod tests {
         }
         let mut sim = Simulation::new();
         let (_tx, rx) = sim.channel::<u64>(1);
-        sim.set_scheduler_mode(SchedulerMode::ActiveSet);
+        sim.set_event_driven(true);
         let p = sim.add_shared(Poked {
             rx,
             pending: 0,
@@ -1826,7 +1731,7 @@ mod tests {
         let mut sim = Simulation::new();
         let (tx, rx) = sim.channel::<u64>(4);
         let (_decoy_tx, decoy) = sim.channel::<u64>(4);
-        sim.set_scheduler_mode(SchedulerMode::ActiveSet);
+        sim.set_event_driven(true);
         sim.set_verify_idle(true);
         sim.add(OneShot {
             tx,
@@ -1839,13 +1744,13 @@ mod tests {
 
     #[test]
     fn stride_never_races_a_wake() {
-        // Satellite: `done()` through a stride must observe the response on
-        // exactly the same cycle in every mode, even when the stride is far
+        // `done()` through a stride must observe the response on exactly
+        // the same cycle under either scheduler, even when the stride is far
         // larger than the gap to the first wake (send at 3, stride 64).
-        let run = |mode: SchedulerMode, stride: Cycle| {
+        let run = |event_driven: bool, stride: Cycle| {
             let mut sim = Simulation::new();
             let (tx, rx) = sim.channel::<u64>(4);
-            sim.set_scheduler_mode(mode);
+            sim.set_event_driven(event_driven);
             sim.add(OneShot {
                 tx,
                 delay: 3,
@@ -1855,20 +1760,58 @@ mod tests {
             sim.run_until_strided(1000, stride, move |sim| rx.has_data(sim.ctx(), sim.now()))
                 .expect("value should arrive")
         };
-        let baseline = run(SchedulerMode::Naive, 1);
+        let baseline = run(false, 1);
         assert_eq!(baseline, 4, "sent at 3, visible at 4");
-        for mode in [
-            SchedulerMode::Naive,
-            SchedulerMode::IdleSkip,
-            SchedulerMode::ActiveSet,
-        ] {
+        for event_driven in [false, true] {
             for stride in [1, 2, 64, 1000] {
                 assert_eq!(
-                    run(mode, stride),
+                    run(event_driven, stride),
                     baseline,
-                    "{mode:?} with stride {stride} raced the wake"
+                    "event_driven={event_driven} with stride {stride} raced the wake"
                 );
             }
         }
+    }
+
+    /// Fires on every `period`-th local cycle; its `next_event` is honest,
+    /// or (when not) claims twice the real idle gap.
+    struct Sparse {
+        period: u64,
+        fires: u64,
+        honest: bool,
+    }
+
+    impl Component for Sparse {
+        fn tick(&mut self, _ctx: &SimCtx, now: Cycle) {
+            if now.is_multiple_of(self.period) {
+                self.fires += 1;
+            }
+        }
+
+        fn next_event(&self, _ctx: &SimCtx, now: Cycle) -> Option<Cycle> {
+            let gap = self.period - now % self.period;
+            Some(now + if self.honest { gap } else { 2 * gap })
+        }
+    }
+
+    #[test]
+    fn naive_oracle_exposes_a_lying_next_event() {
+        // The naive loop ignores `next_event`, so its `fires` count is the
+        // ground truth: an honest declaration matches it, an overstated
+        // idle gap makes the active-set run skip real work and diverge.
+        let fires = |event_driven: bool, honest: bool| {
+            let mut sim = Simulation::new();
+            sim.set_event_driven(event_driven);
+            let s = sim.add_shared(Sparse {
+                period: 13,
+                fires: 0,
+                honest,
+            });
+            sim.run_for(10_000);
+            sim.get(s).fires
+        };
+        assert_eq!(fires(false, true), fires(true, true));
+        assert_eq!(fires(false, false), fires(false, true));
+        assert_ne!(fires(false, false), fires(true, false));
     }
 }

@@ -26,7 +26,7 @@ use crate::time::Cycle;
 
 /// Process-wide counter minting one serial per [`SimCtx`], so a handle
 /// accidentally resolved against another simulation's arena (easy to do
-/// in paired-sim tests like [`Lockstep`](crate::Lockstep)) fails loudly
+/// in paired naive-vs-active-set tests) fails loudly
 /// instead of silently indexing the wrong storage.
 static NEXT_SERIAL: AtomicU32 = AtomicU32::new(1);
 

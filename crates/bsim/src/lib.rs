@@ -20,7 +20,8 @@
 //!   and can be moved to a worker thread wholesale. The driver is
 //!   event-aware: components that implement [`Component::next_event`] let
 //!   it fast-forward across provably quiescent gaps with bit-identical
-//!   cycle counts (guarded by [`Lockstep`], measured by [`SimRate`]).
+//!   cycle counts (checked against the naive loop, measured by
+//!   [`SimRate`]).
 //! * [`SparseMemory`] — a byte-addressable sparse backing store used as the
 //!   functional half of the DRAM model.
 //! * [`Stats`] — shared counters and histograms for instrumentation.
@@ -66,7 +67,6 @@ mod chan;
 mod component;
 mod ctx;
 pub mod host;
-mod lockstep;
 mod mem;
 pub mod perf;
 mod stats;
@@ -76,9 +76,8 @@ mod vcd;
 mod wake;
 
 pub use chan::{ChannelState, Receiver, Sender};
-pub use component::{Component, SchedulerMode, Shared, Simulation};
+pub use component::{Component, Shared, Simulation};
 pub use ctx::SimCtx;
-pub use lockstep::Lockstep;
 pub use mem::SparseMemory;
 pub use perf::flight::{FlightEntry, FlightRecorder};
 pub use perf::span::{perfetto_trace, ProcessSpans, SpanEvent, SpanRecorder};

@@ -140,6 +140,37 @@ impl SparseMemory {
             .collect()
     }
 
+    /// Makes `[addr, addr + len)` of this memory equal to the same range of
+    /// `src`, touching only pages resident in either: covered pages `src`
+    /// lacks read as zero afterwards (whole ones are released), and `src`'s
+    /// resident pages are copied. Copying from an empty memory therefore
+    /// clears the range.
+    pub fn copy_range(&mut self, src: &SparseMemory, addr: u64, len: u64) {
+        if len == 0 {
+            return;
+        }
+        let end = addr + len;
+        let pages = (addr >> PAGE_SHIFT)..=((end - 1) >> PAGE_SHIFT);
+        // The part of `page` inside the range, as in-page byte offsets.
+        let span = |page: u64| {
+            let base = page << PAGE_SHIFT;
+            (addr.max(base) - base) as usize..(end.min(base + PAGE_SIZE) - base) as usize
+        };
+        let stale: Vec<u64> = self.pages.range(pages.clone()).map(|(&p, _)| p).collect();
+        for page in stale {
+            let span = span(page);
+            if span.len() == PAGE_SIZE as usize {
+                self.pages.remove(&page);
+            } else if let Some(data) = self.pages.get_mut(&page) {
+                data[span].fill(0);
+            }
+        }
+        for (&page, data) in src.pages.range(pages) {
+            let span = span(page);
+            self.write((page << PAGE_SHIFT) + span.start as u64, &data[span]);
+        }
+    }
+
     /// Releases all pages, returning the memory to the all-zero state.
     pub fn clear(&mut self) {
         self.pages.clear();
@@ -223,6 +254,23 @@ mod tests {
         mem.clear();
         assert_eq!(mem.resident_pages(), 0);
         assert_eq!(mem.read_vec(0, 1), vec![0]);
+    }
+
+    #[test]
+    fn copy_range_mirrors_src_and_clears_what_src_lacks() {
+        let mut src = SparseMemory::new();
+        src.write(PAGE_SIZE + 10, &[7, 8]);
+        let mut dst = SparseMemory::new();
+        dst.write(0, &[1; 3 * PAGE_SIZE as usize]);
+        // Mirror [5, 2 pages + 5): the page `src` lacks is released, the
+        // partial edge pages are zeroed only inside the range.
+        dst.copy_range(&src, 5, 2 * PAGE_SIZE);
+        assert_eq!(dst.read_vec(0, 6), vec![1, 1, 1, 1, 1, 0]);
+        assert_eq!(dst.read_vec(PAGE_SIZE + 9, 4), vec![0, 7, 8, 0]);
+        assert_eq!(dst.read_vec(2 * PAGE_SIZE + 4, 2), vec![0, 1]);
+        // Copying from an empty memory clears a whole-page range.
+        dst.copy_range(&SparseMemory::new(), 0, 3 * PAGE_SIZE);
+        assert_eq!(dst.resident_pages(), 0);
     }
 
     #[test]

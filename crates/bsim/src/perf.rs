@@ -312,71 +312,32 @@ impl PerfRegistry {
     /// counter track per sampled counter. `period_ps` converts cycles to
     /// trace microseconds. Open the result at <https://ui.perfetto.dev>.
     pub fn chrome_trace(&self, events: &[TraceEvent], period_ps: u64) -> String {
-        let to_us = |cycle: Cycle| (cycle as f64) * (period_ps as f64) / 1e6;
-        let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-        let mut first = true;
-        let push = |out: &mut String, first: &mut bool, item: String| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push_str(&item);
-        };
-        push(
-            &mut out,
-            &mut first,
-            "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"beethoven-sim\"}}"
-                .to_owned(),
-        );
-        // One trace thread per channel, in first-seen order.
-        let mut tids: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut w = TraceWriter::new(period_ps);
+        w.process(0, "beethoven-sim");
+        // One trace thread per channel.
+        let tids = w.threads(0, events.iter().map(|e| e.channel.as_str()));
         for event in events {
-            let next = tids.len() + 1;
-            tids.entry(&event.channel).or_insert(next);
-        }
-        for (channel, tid) in &tids {
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_name\",\
-                     \"args\":{{\"name\":{}}}}}",
-                    json_string(channel)
-                ),
-            );
-        }
-        for event in events {
-            let tid = tids[event.channel.as_str()];
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{:.4},\"dur\":{:.4},\
-                     \"name\":{},\"args\":{{\"id\":{}}}}}",
-                    to_us(event.cycle),
-                    to_us(1),
-                    json_string(&event.detail),
-                    event.id,
-                ),
-            );
+            w.event(format_args!(
+                "{{\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{:.4},\"dur\":{:.4},\
+                 \"name\":{},\"args\":{{\"id\":{}}}}}",
+                tids[event.channel.as_str()],
+                w.us(event.cycle),
+                w.us(1),
+                json_string(&event.detail),
+                event.id,
+            ));
         }
         for (cycle, counters) in self.inner.lock().unwrap().samples.iter() {
             for (name, value) in counters {
-                push(
-                    &mut out,
-                    &mut first,
-                    format!(
-                        "{{\"ph\":\"C\",\"pid\":0,\"ts\":{:.4},\"name\":{},\
-                         \"args\":{{\"value\":{value}}}}}",
-                        to_us(*cycle),
-                        json_string(name),
-                    ),
-                );
+                w.event(format_args!(
+                    "{{\"ph\":\"C\",\"pid\":0,\"ts\":{:.4},\"name\":{},\
+                     \"args\":{{\"value\":{value}}}}}",
+                    w.us(*cycle),
+                    json_string(name),
+                ));
             }
         }
-        out.push_str("]}");
-        out
+        w.finish()
     }
 }
 
@@ -457,8 +418,83 @@ impl std::fmt::Debug for CounterSet {
     }
 }
 
+/// The Chrome trace-event JSON writer behind both exporters
+/// ([`PerfRegistry::chrome_trace`] and [`span::perfetto_trace`]): the
+/// document envelope, comma separation, the process/thread metadata rows
+/// and the cycle-to-microsecond conversion.
+struct TraceWriter {
+    out: String,
+    first: bool,
+    period_ps: u64,
+}
+
+impl TraceWriter {
+    fn new(period_ps: u64) -> Self {
+        TraceWriter {
+            out: String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["),
+            first: true,
+            period_ps,
+        }
+    }
+
+    /// Trace microseconds at `cycle`.
+    fn us(&self, cycle: Cycle) -> f64 {
+        (cycle as f64) * (self.period_ps as f64) / 1e6
+    }
+
+    /// Appends one event object.
+    fn event(&mut self, item: std::fmt::Arguments<'_>) {
+        use std::fmt::Write as _;
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        self.out
+            .write_fmt(item)
+            .expect("writing to a String cannot fail");
+    }
+
+    /// Emits process `pid`'s name row.
+    fn process(&mut self, pid: u32, name: &str) {
+        self.event(format_args!(
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
+             \"args\":{{\"name\":{}}}}}",
+            json_string(name)
+        ));
+    }
+
+    /// Numbers process `pid`'s tracks from 1 in first-seen order, emits
+    /// one thread-name row per track (sorted by name) and returns the
+    /// track-to-tid map.
+    fn threads<'a>(
+        &mut self,
+        pid: u32,
+        tracks: impl IntoIterator<Item = &'a str>,
+    ) -> BTreeMap<&'a str, usize> {
+        let mut tids: BTreeMap<&str, usize> = BTreeMap::new();
+        for track in tracks {
+            let next = tids.len() + 1;
+            tids.entry(track).or_insert(next);
+        }
+        for (track, tid) in &tids {
+            self.event(format_args!(
+                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
+                 \"args\":{{\"name\":{}}}}}",
+                json_string(track)
+            ));
+        }
+        tids
+    }
+
+    /// Closes the document.
+    fn finish(mut self) -> String {
+        self.out.push_str("]}");
+        self.out
+    }
+}
+
 /// Escapes `s` as a JSON string literal (with surrounding quotes).
-fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -811,9 +847,22 @@ mod tests {
         ];
         let json = perf.chrome_trace(&events, 4_000);
         validate_json(&json).expect("trace must be valid JSON");
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ph\":\"C\""));
-        assert!(json.contains("thread_name"));
+        // Pinned bytes: the exporter's output is a compatibility surface.
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"displayTimeUnit":"ns","traceEvents":["#,
+                r#"{"ph":"M","pid":0,"tid":0,"name":"process_name","#,
+                r#""args":{"name":"beethoven-sim"}},"#,
+                r#"{"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"AR"}},"#,
+                r#"{"ph":"M","pid":0,"tid":2,"name":"thread_name","args":{"name":"R"}},"#,
+                r#"{"ph":"X","pid":0,"tid":1,"ts":0.0200,"dur":0.0040,"name":"read \"x\"\n","#,
+                r#""args":{"id":2}},"#,
+                r#"{"ph":"X","pid":0,"tid":2,"ts":0.0360,"dur":0.0040,"name":"beat","#,
+                r#""args":{"id":2}},"#,
+                r#"{"ph":"C","pid":0,"ts":0.0400,"name":"mem/beats","args":{"value":1}}]}"#,
+            )
+        );
     }
 
     #[test]
@@ -821,6 +870,14 @@ mod tests {
         let perf = PerfRegistry::new();
         let json = perf.chrome_trace(&[], 1_000);
         validate_json(&json).expect("empty trace must be valid JSON");
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"displayTimeUnit":"ns","traceEvents":["#,
+                r#"{"ph":"M","pid":0,"tid":0,"name":"process_name","#,
+                r#""args":{"name":"beethoven-sim"}}]}"#,
+            )
+        );
     }
 
     #[test]

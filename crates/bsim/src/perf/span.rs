@@ -20,6 +20,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use super::{json_string, TraceWriter};
 use crate::time::Cycle;
 
 /// One cycle-stamped interval in a request's life.
@@ -145,64 +146,26 @@ pub struct ProcessSpans {
 /// `(start, end)` order. `period_ps` converts cycles to microseconds, as
 /// in [`PerfRegistry::chrome_trace`](crate::PerfRegistry::chrome_trace).
 pub fn perfetto_trace(processes: &[ProcessSpans], period_ps: u64) -> String {
-    let to_us = |cycle: Cycle| (cycle as f64) * (period_ps as f64) / 1e6;
-    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
-    let push = |out: &mut String, first: &mut bool, item: String| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str(&item);
-    };
+    let mut w = TraceWriter::new(period_ps);
     // Flow steps: trace_id -> (start, end, pid, tid) per span, collected
     // while emitting slices so the chain is assembled in one pass.
     let mut flows: BTreeMap<u64, Vec<(Cycle, Cycle, u32, usize)>> = BTreeMap::new();
     for process in processes {
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{},\"tid\":0,\"name\":\"process_name\",\
-                 \"args\":{{\"name\":{}}}}}",
-                process.pid,
-                super::json_string(&process.name)
-            ),
-        );
-        let mut tids: BTreeMap<&str, usize> = BTreeMap::new();
-        for span in &process.spans {
-            let next = tids.len() + 1;
-            tids.entry(&span.track).or_insert(next);
-        }
-        for (track, tid) in &tids {
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":{},\"tid\":{tid},\"name\":\"thread_name\",\
-                     \"args\":{{\"name\":{}}}}}",
-                    process.pid,
-                    super::json_string(track)
-                ),
-            );
-        }
+        w.process(process.pid, &process.name);
+        let tids = w.threads(process.pid, process.spans.iter().map(|s| s.track.as_str()));
         for span in &process.spans {
             let tid = tids[span.track.as_str()];
             // 1-cycle duration floor keeps instant spans visible.
             let dur = span.end.saturating_sub(span.start).max(1);
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\":\"X\",\"pid\":{},\"tid\":{tid},\"ts\":{:.4},\"dur\":{:.4},\
-                     \"name\":{},\"args\":{{\"trace_id\":{}}}}}",
-                    process.pid,
-                    to_us(span.start),
-                    to_us(dur),
-                    super::json_string(&span.name),
-                    span.trace_id,
-                ),
-            );
+            w.event(format_args!(
+                "{{\"ph\":\"X\",\"pid\":{},\"tid\":{tid},\"ts\":{:.4},\"dur\":{:.4},\
+                 \"name\":{},\"args\":{{\"trace_id\":{}}}}}",
+                process.pid,
+                w.us(span.start),
+                w.us(dur),
+                json_string(&span.name),
+                span.trace_id,
+            ));
             flows
                 .entry(span.trace_id)
                 .or_default()
@@ -228,19 +191,14 @@ pub fn perfetto_trace(processes: &[ProcessSpans], period_ps: u64) -> String {
             // "f" binds to the enclosing slice like "s"/"t" do: ts at the
             // slice start, with bp:"e" so Perfetto attaches it there.
             let bp = if ph == "f" { ",\"bp\":\"e\"" } else { "" };
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.4},\
-                     \"id\":{trace_id},\"cat\":\"request\",\"name\":\"job\"{bp}}}",
-                    to_us(start),
-                ),
-            );
+            w.event(format_args!(
+                "{{\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.4},\
+                 \"id\":{trace_id},\"cat\":\"request\",\"name\":\"job\"{bp}}}",
+                w.us(start),
+            ));
         }
     }
-    out.push_str("]}");
-    out
+    w.finish()
 }
 
 #[cfg(test)]
@@ -326,11 +284,37 @@ mod tests {
         assert!(!json.contains("\"id\":8"));
         // Every span rendered as a slice.
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 4);
+        // Pinned bytes: the exporter's output is a compatibility surface.
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"displayTimeUnit":"ns","traceEvents":["#,
+                r#"{"ph":"M","pid":0,"tid":0,"name":"process_name","args":{"name":"shard0"}},"#,
+                r#"{"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"admission"}},"#,
+                r#"{"ph":"M","pid":0,"tid":3,"name":"thread_name","args":{"name":"core0"}},"#,
+                r#"{"ph":"M","pid":0,"tid":2,"name":"thread_name","args":{"name":"tenant1"}},"#,
+                r#"{"ph":"X","pid":0,"tid":1,"ts":0.0000,"dur":0.0040,"name":"admit","#,
+                r#""args":{"trace_id":3}},"#,
+                r#"{"ph":"X","pid":0,"tid":2,"ts":0.0000,"dur":0.1600,"name":"queue","#,
+                r#""args":{"trace_id":3}},"#,
+                r#"{"ph":"X","pid":0,"tid":3,"ts":0.1600,"dur":0.2000,"name":"execute","#,
+                r#""args":{"trace_id":3}},"#,
+                r#"{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"shard1"}},"#,
+                r#"{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"core0"}},"#,
+                r#"{"ph":"X","pid":1,"tid":1,"ts":0.0200,"dur":0.0800,"name":"execute","#,
+                r#""args":{"trace_id":8}},"#,
+                r#"{"ph":"s","pid":0,"tid":1,"ts":0.0000,"id":3,"cat":"request","name":"job"},"#,
+                r#"{"ph":"t","pid":0,"tid":2,"ts":0.0000,"id":3,"cat":"request","name":"job"},"#,
+                r#"{"ph":"f","pid":0,"tid":3,"ts":0.1600,"id":3,"cat":"request","name":"job","#,
+                r#""bp":"e"}]}"#,
+            )
+        );
     }
 
     #[test]
     fn empty_trace_is_valid() {
         let json = perfetto_trace(&[], 1_000);
         validate_json(&json).expect("empty merged trace must be valid JSON");
+        assert_eq!(json, r#"{"displayTimeUnit":"ns","traceEvents":[]}"#);
     }
 }

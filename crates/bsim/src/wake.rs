@@ -1,9 +1,9 @@
 //! Wake hooks: how channel activity re-arms sleeping components under the
 //! active-set scheduler.
 //!
-//! The idle-skipping scheduler (PR 1) re-queries every component's
+//! A scheduler that re-queried every component's
 //! [`next_event`](crate::Component::next_event) before each scheduling
-//! decision, so a declaration can only ever be *stale by zero cycles*.
+//! decision would only ever see declarations *stale by zero cycles*.
 //! The active-set scheduler trusts declarations across many executed
 //! cycles — a sleeping component is not looked at while others run — so a
 //! declaration can be invalidated by an input change the component never

@@ -1,10 +1,9 @@
 //! Property tests for the active-set scheduler: on randomized component
 //! graphs — DAGs of producers, forwarding stages, and sinks with random
 //! channel latencies/capacities, clock dividers, and a random *scheduler
-//! flavor* per node — the naive stepper, the idle-skipping driver, and the
-//! active-set scheduler produce bit-identical results: the same final
-//! cycle, the same per-item logs (value, arrival cycle), and the same
-//! channel totals.
+//! flavor* per node — the naive stepper and the active-set scheduler
+//! produce bit-identical results: the same final cycle, the same per-item
+//! logs (value, arrival cycle), and the same channel totals.
 //!
 //! The flavors cover every citizenship class the scheduler supports:
 //!
@@ -22,10 +21,7 @@
 //! ([`Simulation::set_verify_idle`]), so any missing-wake hole on any
 //! random graph panics instead of silently diverging.
 
-use bsim::{
-    ChannelState, Component, Cycle, Receiver, SchedulerMode, Sender, Shared, SimCtx, Simulation,
-    Waker,
-};
+use bsim::{ChannelState, Component, Cycle, Receiver, Sender, Shared, SimCtx, Simulation, Waker};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,21 +304,18 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     #[test]
-    fn three_schedulers_are_cycle_exact_on_random_graphs(
+    fn naive_and_active_set_are_cycle_exact_on_random_graphs(
         specs in proptest::collection::vec(node_strategy(), 2..7),
         divider in 1u64..5,
         warmup in 0u64..200,
     ) {
-        let modes = [SchedulerMode::Naive, SchedulerMode::IdleSkip, SchedulerMode::ActiveSet];
-        let mut sims: Vec<Simulation> = modes
-            .iter()
-            .map(|&mode| {
+        let mut sims: Vec<Simulation> = [false, true]
+            .into_iter()
+            .map(|event_driven| {
                 let mut sim = Simulation::new();
-                sim.set_scheduler_mode(mode);
-                if mode == SchedulerMode::ActiveSet {
-                    // Panic on any wake-coverage hole the random graph finds.
-                    sim.set_verify_idle(true);
-                }
+                sim.set_event_driven(event_driven);
+                // Panic on any wake-coverage hole the random graph finds.
+                sim.set_verify_idle(event_driven);
                 sim
             })
             .collect();
@@ -361,7 +354,6 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(elapsed[0], elapsed[1]);
-        prop_assert_eq!(elapsed[0], elapsed[2]);
         prop_assert!(
             elapsed[0].is_ok(),
             "graph must drain within {} cycles; specs: {:?}; obs: {:?}",
@@ -380,7 +372,6 @@ proptest! {
         let registered: Vec<Cycle> =
             sims.iter().map(Simulation::registered_component_cycles).collect();
         prop_assert_eq!(registered[0], registered[1]);
-        prop_assert_eq!(registered[0], registered[2]);
         prop_assert_eq!(sims[0].ticked_component_cycles(), registered[0]);
         for sim in &sims {
             prop_assert!(sim.ticked_component_cycles() <= registered[0]);

@@ -1,7 +1,7 @@
 //! Property tests pinning the tentpole guarantee of the event-aware
 //! scheduler: on randomized pipelines — producer → stage → sink chains with
 //! random channel latencies, capacities, processing delays, and clock
-//! dividers (mixed domains in one simulation) — the idle-skipping driver
+//! dividers (mixed domains in one simulation) — the active-set driver
 //! produces *bit-identical* results to the naive cycle-by-cycle stepper:
 //! the same final cycle, the same per-item delivery cycles, and the same
 //! channel totals.
@@ -195,7 +195,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     #[test]
-    fn idle_skipping_matches_naive_stepper(
+    fn active_set_matches_naive_stepper(
         specs in proptest::collection::vec(pipeline_strategy(), 1..4),
         warmup in 0u64..200,
     ) {
